@@ -16,6 +16,7 @@ from typing import Sequence
 
 from . import extremal, functional, jsonio, montecarlo, oracle
 from .geometry import (
+    Profile,
     ProblemSpec,
     Variant,
     make_triangle,
@@ -94,9 +95,21 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _problem_spec(args: argparse.Namespace) -> ProblemSpec:
-    if args.r <= 0.0 or args.H <= 0.0:
-        raise _UsageError(f"r and H must be positive (got r={args.r}, H={args.H})")
     return ProblemSpec(r=args.r, H=args.H, variant=Variant(args.variant))
+
+
+def _load_profile(path: str) -> tuple[Profile, ProblemSpec]:
+    """Read a profile JSON file and check that it is admissible for its spec."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        profile, spec = profile_from_dict(data)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"cannot read profile: {exc}") from exc
+    result = validate(profile, spec)
+    if not result.ok:
+        raise _UsageError("invalid profile: " + "; ".join(result.issues))
+    return profile, spec
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -113,18 +126,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    try:
-        with open(args.profile) as fh:
-            data = json.load(fh)
-        profile, spec = profile_from_dict(data)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: cannot read profile: {exc}\n")
-        return EXIT_USAGE
-    result = validate(profile, spec)
-    if not result.ok:
-        for issue in result.issues:
-            sys.stderr.write(f"error: invalid profile: {issue}\n")
-        return EXIT_USAGE
+    profile, _ = _load_profile(args.profile)
     payload = {"resistance_2d": functional.resistance_2d(profile)}
     if args.dim == 3:
         payload["resistance_3d"] = functional.resistance_3d(profile)
@@ -289,13 +291,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_export_svg(args: argparse.Namespace) -> int:
-    try:
-        with open(args.profile) as fh:
-            data = json.load(fh)
-        profile, spec = profile_from_dict(data)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: cannot read profile: {exc}\n")
-        return EXIT_USAGE
+    profile, spec = _load_profile(args.profile)
     try:
         svg = render_svg(profile, spec, args.width, args.height)
         with open(args.out, "w") as fh:

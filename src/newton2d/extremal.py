@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy.optimize import brentq
 
-from .functional import triangle_resistance
+from .functional import staircase_resistance, triangle_resistance
 from .geometry import (
     Profile,
     ProblemSpec,
@@ -413,17 +413,6 @@ class GradientReport:
     coordinate_names: tuple[str, ...]
 
 
-def _staircase_value(n: int, xi: np.ndarray, mu: np.ndarray) -> float:
-    total = 0.0
-    for i in range(n + 1):
-        total += xi[2 * i + 1] - xi[2 * i]
-    for i in range(n):
-        w = xi[2 * i + 2] - xi[2 * i + 1]
-        h = mu[i + 1] - mu[i]
-        total += w**3 / (w * w + h * h)
-    return total
-
-
 def staircase_gradient_check(
     params: StaircaseParams, spec: ProblemSpec, fd_step: float = 1e-6
 ) -> GradientReport:
@@ -468,7 +457,7 @@ def staircase_gradient_check(
         mu_v = mu.copy()
         xi_v[free_xi] = v[: len(free_xi)]
         mu_v[free_mu] = v[len(free_xi):]
-        return _staircase_value(n, xi_v, mu_v)
+        return staircase_resistance(StaircaseParams(n, xi_v, mu_v), spec)
 
     point = np.concatenate([xi[free_xi], mu[free_mu]])
     # reorder analytic gradient to match [xi_1..xi_2n, mu_1..mu_{n-1}]

@@ -9,6 +9,7 @@ represented exactly.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,10 +33,10 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
-        if not (self.r > 0.0):
-            raise ValueError(f"r must be positive, got {self.r}")
-        if not (self.H > 0.0):
-            raise ValueError(f"H must be positive, got {self.H}")
+        if not (math.isfinite(self.r) and self.r > 0.0):
+            raise ValueError(f"r must be positive and finite, got {self.r}")
+        if not (math.isfinite(self.H) and self.H > 0.0):
+            raise ValueError(f"H must be positive and finite, got {self.H}")
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
 
@@ -44,9 +45,9 @@ class ProblemSpec:
 class Profile:
     """Piecewise-linear contour given by its breakpoints.
 
-    Breakpoint x-coordinates are strictly increasing; a positive jump in y
-    over zero width would mean an infinite slope and is rejected at
-    construction time.  Instances are immutable.
+    Breakpoints are finite and their x-coordinates strictly increasing; a
+    positive jump in y over zero width would mean an infinite slope and is
+    rejected at construction time.  Instances are immutable.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -56,6 +57,9 @@ class Profile:
         object.__setattr__(self, "breakpoints", pts)
         if len(pts) < 2:
             raise ValueError("profile needs at least two breakpoints")
+        for x, y in pts:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"breakpoint ({x}, {y}) is not finite")
         for (x0, _), (x1, _) in zip(pts, pts[1:]):
             if not (x1 > x0):
                 raise ValueError(

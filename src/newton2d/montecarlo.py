@@ -54,10 +54,12 @@ class CollisionReport:
     notes: tuple[str, ...] = ()
 
 
-def reflect(velocity, slope: float) -> np.ndarray:
+def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     """Specular reflection of a unit velocity off a surface of given slope.
 
-    v' = v - 2 (v . n) n with unit normal n = (-u, 1)/sqrt(1+u^2).
+    v' = v - 2 (v . n) n with unit normal n = (-u, 1)/sqrt(1+u^2).  slope
+    may be a float or an array; the result has shape (2,) + shape(slope),
+    row 0 holding the x components and row 1 the y components.
     """
     v = np.asarray(velocity, dtype=float)
     norm = np.hypot(v[0], v[1])
@@ -96,17 +98,13 @@ def estimate_resistance(
         raise ValueError("n_samples must be >= 1")
     rng = np.random.default_rng(rng_seed)
     xs_bp = np.array(profile.xs)
-    slopes = np.array(profile.slopes)
+    # half the axial impulse of a particle reflected by each segment; an
+    # impact takes its segment's value, exactly as if reflected one by one
+    g_segment = (reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0
     x0, x1 = xs_bp[0], xs_bp[-1]
     xs = rng.uniform(x0, x1, n_samples)
-    idx = np.clip(np.searchsorted(xs_bp, xs, side="right") - 1, 0, slopes.size - 1)
-    u = slopes[idx]
-    # vectorized specular reflection of v = (0, -1)
-    den = np.sqrt(1.0 + u * u)
-    ny = 1.0 / den
-    vdotn = -ny
-    reflected_y = -1.0 - 2.0 * vdotn * ny
-    g = (reflected_y + 1.0) / 2.0
+    idx = np.clip(np.searchsorted(xs_bp, xs, side="right") - 1, 0, g_segment.size - 1)
+    g = g_segment[idx]
     width = x1 - x0
     estimate = width * float(np.mean(g))
     if n_samples > 1:

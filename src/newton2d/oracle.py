@@ -22,9 +22,11 @@ from .geometry import Profile, ProblemSpec, Variant
 class DpConfig:
     """Grid resolution for the dynamic-programming minimization.
 
-    slope_bound is ignored for the restricted variant (monotone contours
-    already keep the DP finite) and must be positive for the unrestricted
-    variant, whose drag infimum is zero without a slope bound.
+    slope_bound sets the DP's slope set K: it is ignored for the restricted
+    variant, whose K = 0..n_levels (monotone contours already keep the DP
+    finite), and must be positive for the unrestricted variant, whose K
+    holds every rise k with |k| * (H/n_levels) / (r/n_cells) <= slope_bound
+    (its drag infimum is zero without a slope bound).
     """
 
     n_cells: int
@@ -73,83 +75,56 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     """Exact drag minimum over contours on an (n_cells, n_levels) grid.
 
     Contours are piecewise linear with breakpoints on the grid
-    x_i = i*r/N, y = j*H/M.  Per cell the rise is any number of levels
-    (restricted: k >= 0; unrestricted: |k * dh / dx| <= slope_bound) with
-    exact cost dx^3 / (dx^2 + (k dh)^2).  The recurrence is deterministic;
-    ties between transitions break toward the smallest rise, making the
-    reported argmin profile reproducible.
+    x_i = i*r/N, y = j*H/M.  Both variants run one recurrence over a slope
+    set K: each cell rises k levels, k in K, at exact cost
+    c(k) = dx^3 / (dx^2 + (k dh)^2), so cost'[j] = min_k c(k) + cost[j - k]
+    over the levels 0..top.  Restricted: K = 0..M and top = M.
+    Unrestricted: K = {k : |k * dh / dx| <= slope_bound}, with top capped
+    above the bang-bang peak (B r + H) / 2.  The recurrence is
+    deterministic; ties go to the smallest |k|, then the downward rise,
+    making the reported argmin profile reproducible.
     """
+    n, m = config.n_cells, config.n_levels
+    dx = spec.r / n
+    dh = spec.H / m
     if spec.variant is Variant.RESTRICTED:
-        return _dp_restricted(spec, config)
-    return _dp_bounded(spec, config)
-
-
-def _dp_restricted(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profile]:
-    n, m = config.n_cells, config.n_levels
-    dx = spec.r / n
-    dh = spec.H / m
-    k = np.arange(m + 1, dtype=float)
-    cell_cost = dx**3 / (dx * dx + (k * dh) ** 2)
-
-    j2 = np.arange(m + 1)[:, None]
-    kk = np.arange(m + 1)[None, :]
-    j1 = j2 - kk
-    valid = j1 >= 0
-    j1 = np.where(valid, j1, 0)
-
-    cost = np.full(m + 1, np.inf)
-    cost[0] = 0.0
-    choice = np.empty((n, m + 1), dtype=np.int32)
-    for i in range(n):
-        total = np.where(valid, cell_cost[None, :] + cost[j1], np.inf)
-        # argmin scans k ascending: ties break toward the smallest rise
-        arg = np.argmin(total, axis=1)
-        cost = total[np.arange(m + 1), arg]
-        choice[i] = arg
-    value = float(cost[m])
-    rises = _backtrack(choice, m)
-    return value, _grid_profile(spec, n, m, rises)
-
-
-def _dp_bounded(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profile]:
-    if config.slope_bound <= 0.0:
-        raise ValueError("unrestricted DP requires a positive slope_bound")
-    n, m = config.n_cells, config.n_levels
-    dx = spec.r / n
-    dh = spec.H / m
-    k_max = int(math.floor(config.slope_bound * dx / dh + 1e-12))
-    if k_max < 1 or n * k_max < m:
-        raise ValueError(
-            "infeasible grid: required total rise unreachable under slope bound"
+        ks = np.arange(m + 1)
+        top = m
+        cell_cost = dx**3 / (dx * dx + (ks * dh) ** 2)
+    else:
+        if config.slope_bound <= 0.0:
+            raise ValueError("unrestricted DP requires a positive slope_bound")
+        k_max = int(math.floor(config.slope_bound * dx / dh + 1e-12))
+        if k_max < 1 or n * k_max < m:
+            raise ValueError(
+                "infeasible grid: required total rise unreachable under slope bound"
+            )
+        # level cap: generous room above the bang-bang peak (B r + H) / 2
+        top = max(
+            m,
+            math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
         )
-    # level cap: generous room above the bang-bang peak (B r + H) / 2
-    top = max(
-        m,
-        math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
-    )
-    ks = sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv))
-    cell_cost = {kv: dx**3 / (dx * dx + (kv * dh) ** 2) for kv in ks}
+        ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+        # scalar ** 2 goes through libm pow, which rounds differently from the
+        # array square above for about 1 argument in 1000; the unrestricted
+        # DP's pinned outputs are those of these scalar costs
+        cell_cost = np.array(
+            [dx**3 / (dx * dx + (kv * dh) ** 2) for kv in ks.tolist()]
+        )
 
+    rows = np.arange(top + 1)
+    prev = rows[:, None] - ks
+    valid = (prev >= 0) & (prev <= top)
+    prev = np.where(valid, prev, 0)
     cost = np.full(top + 1, np.inf)
     cost[0] = 0.0
     choice = np.empty((n, top + 1), dtype=np.int32)
     for i in range(n):
-        new = np.full(top + 1, np.inf)
-        arg = np.zeros(top + 1, dtype=np.int32)
-        for kv in ks:  # flattest first: ties keep the smallest rise magnitude
-            if kv >= 0:
-                cand = cell_cost[kv] + cost[: top + 1 - kv]
-                view = new[kv:]
-                argview = arg[kv:]
-            else:
-                cand = cell_cost[kv] + cost[-kv:]
-                view = new[: top + 1 + kv]
-                argview = arg[: top + 1 + kv]
-            better = cand < view
-            view[better] = cand[better]
-            argview[better] = kv
-        cost = new
-        choice[i] = arg
+        total = np.where(valid, cell_cost[None, :] + cost[prev], np.inf)
+        # argmin takes the first minimum in K's order, flattest rise first
+        arg = np.argmin(total, axis=1)
+        cost = total[rows, arg]
+        choice[i] = ks[arg]
     value = float(cost[m])
     rises = _backtrack(choice, m)
     return value, _grid_profile(spec, n, m, rises)

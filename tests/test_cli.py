@@ -87,6 +87,17 @@ def test_usage_errors(capsys):
     assert _run(capsys, ["frobnicate"])[0] == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag", ["--r", "--H"])
+def test_non_finite_dimensions_are_usage_errors(capsys, flag):
+    argv = ["solve", "--r", "1", "--H", "0.4", "--variant", "restricted"]
+    argv[argv.index(flag) + 1] = "inf"
+    code, out, err = _run(capsys, argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{flag[2:]} must be positive and finite" in err
+    assert "NaN" not in err and "JSON" not in err
+
+
 def test_eval_profile(tmp_path, capsys):
     path = _write_profile(tmp_path, r=1.0, H=1.0)
     code, out, _ = _run(capsys, ["eval", "--profile", str(path)])
@@ -221,3 +232,25 @@ def test_export_svg_missing_profile(tmp_path, capsys):
     )
     assert code == EXIT_USAGE
     assert "cannot read profile" in err
+
+
+def test_export_svg_rejects_invalid_profile(tmp_path, capsys):
+    mismatched = tmp_path / "mismatch.json"
+    mismatched.write_text(
+        jsonio.dumps(
+            {
+                "r": 1.0,
+                "H": 2.0,
+                "variant": "restricted",
+                "breakpoints": [[0.0, 0.0], [1.0, 1.0]],
+            }
+        )
+    )
+    out_path = tmp_path / "x.svg"
+    code, _, err = _run(
+        capsys,
+        ["export-svg", "--profile", str(mismatched), "--out", str(out_path)],
+    )
+    assert code == EXIT_USAGE
+    assert "invalid profile" in err
+    assert not out_path.exists()

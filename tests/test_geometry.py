@@ -26,6 +26,11 @@ def test_problem_spec_rejects_nonpositive_dimensions():
         ProblemSpec(r=1.0, H=-0.5)
     with pytest.raises(ValueError):
         ProblemSpec(r=1.0, H=1.0, dimension=4)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="r must be"):
+            ProblemSpec(r=bad, H=1.0)
+        with pytest.raises(ValueError, match="H must be"):
+            ProblemSpec(r=1.0, H=bad)
 
 
 def test_problem_spec_accepts_variant_strings():
@@ -159,6 +164,13 @@ def test_slope_at_is_right_continuous():
 def test_profile_rejects_nonincreasing_x():
     with pytest.raises(ValueError):
         Profile(((0.0, 0.0), (0.5, 0.2), (0.5, 0.4)))
+
+
+def test_profile_rejects_non_finite_breakpoints():
+    with pytest.raises(ValueError, match="not finite"):
+        Profile(((0.0, 0.0), (0.5, float("nan")), (1.0, 1.0)))
+    with pytest.raises(ValueError, match="not finite"):
+        Profile(((0.0, 0.0), (1.0, float("inf"))))
 
 
 def _random_staircase_params(rng, r, H):

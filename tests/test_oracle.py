@@ -114,6 +114,33 @@ def test_dp_is_deterministic():
     assert a[1].breakpoints == b[1].breakpoints
 
 
+# Exact DP outputs, pinned to guard the kernel's float arithmetic and its
+# tie order (restricted: smallest rise; bounded: smallest |k|, then k < 0).
+@pytest.mark.parametrize(
+    "r, H, variant, n, m, bound, value, breakpoints",
+    [
+        (1.0, 0.4, "restricted", 200, 200, 0.0, 0.80329468212714794,
+         ((0.0, 0.0), (0.25, 0.0), (0.58, 0.396), (0.585, 0.4), (1.0, 0.4))),
+        (1.0, 2.0, "restricted", 120, 120, 0.0, 0.20000000000000032,
+         ((0.0, 0.0), (1.0, 2.0))),
+        (1.0, 0.25, "restricted", 100, 400, 0.0, 0.87500000000000067,
+         ((0.0, 0.0), (0.07, 0.07), (0.08, 0.07), (0.26, 0.25), (1.0, 0.25))),
+        (1.0, 1.0, "unrestricted", 400, 400, 2.0, 0.20000000000000015,
+         ((0.0, 0.0), (0.75, 1.5), (1.0, 1.0))),
+        (1.0, 1.0, "unrestricted", 400, 400, 5.0, 0.038461538461538325,
+         ((0.0, 0.0), (0.6, 3.0), (1.0, 1.0))),
+        (1.0, 1.0, "unrestricted", 400, 400, 10.0, 0.009900990099009908,
+         ((0.0, 0.0), (0.55, 5.5), (1.0, 1.0))),
+    ],
+    ids=["wide-200", "tall-120", "100x400", "bounded-B2", "bounded-B5", "bounded-B10"],
+)
+def test_dp_golden_outputs(r, H, variant, n, m, bound, value, breakpoints):
+    spec = ProblemSpec(r=r, H=H, variant=variant)
+    got, profile = dp_min_resistance(spec, DpConfig(n, m, bound))
+    assert got == value
+    assert profile.breakpoints == breakpoints
+
+
 def test_perturbation_config_validation():
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.0, trials=10, rng_seed=0)
