@@ -362,10 +362,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (_UsageError, ValueError, OverflowError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .functional import staircase_resistance, triangle_resistance
 from .geometry import (
@@ -76,15 +75,30 @@ def _slope_response(u: float) -> float:
     return u / (1.0 + u * u) ** 2
 
 
+def _branch_root(half: float, lo: float, hi: float) -> float:
+    # bisect a bracket on which g - half changes sign until lo and hi are
+    # adjacent doubles, where the midpoint rounds onto one of them
+    lo_above = _slope_response(lo) > half
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return min(lo, hi, key=lambda u: abs(_slope_response(u) - half))
+        if (_slope_response(mid) > half) == lo_above:
+            lo = mid
+        else:
+            hi = mid
+
+
 def stationary_slopes(lam: float) -> tuple[float, ...]:
     """Nonnegative slopes solving the first-order condition u/(1+u^2)^2 = lam/2.
 
     g(u) = u/(1+u^2)^2 increases on [0, sqrt(3)/3] and decreases beyond, with
     maximum 3*sqrt(3)/16 at the threshold slope.  Hence: no roots for
     lam > LAMBDA_MAX, a double root at the threshold for lam = LAMBDA_MAX,
-    and one root on each monotone branch for smaller positive lam.  Roots
-    are found by bracketed root finding on each branch; no closed-form
-    quartic formula is used.
+    and one root on each monotone branch for smaller positive lam.  Each
+    root is found by bisecting its branch down to two adjacent doubles
+    that bracket the sign change of g - lam/2; the one with the smaller
+    residual is returned.  No closed-form quartic formula is used.
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
@@ -94,23 +108,11 @@ def stationary_slopes(lam: float) -> tuple[float, ...]:
         return ()
     if abs(half - peak) <= peak * 1e-13:
         return (SLOPE_THRESHOLD,)
-    low = brentq(
-        lambda u: _slope_response(u) - half,
-        0.0,
-        SLOPE_THRESHOLD,
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
+    low = _branch_root(half, 0.0, SLOPE_THRESHOLD)
     hi_bracket = max(2.0 * SLOPE_THRESHOLD, 2.0)
     while _slope_response(hi_bracket) > half:
         hi_bracket *= 2.0
-    high = brentq(
-        lambda u: _slope_response(u) - half,
-        SLOPE_THRESHOLD,
-        hi_bracket,
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
+    high = _branch_root(half, SLOPE_THRESHOLD, hi_bracket)
     return (low, high)
 
 
@@ -164,13 +166,12 @@ def make_certificate(lam: float) -> ExtremalCertificate:
 
 @dataclass(frozen=True)
 class CertificateReport:
-    """Outcome of the grid-scan maximality check for a profile's slopes."""
+    """Outcome of the Hamiltonian maximality check for a profile's slopes."""
 
     passed: bool
     lam: float
     worst_violation: float
-    grid_max: float
-    scan_bound: float
+    h_max: float
     segment_values: tuple[float, ...]
     notes: tuple[str, ...] = ()
 
@@ -179,19 +180,21 @@ def check_certificate(
     profile: Profile,
     spec: ProblemSpec,
     lam: float,
-    grid_points: int = 100_000,
     tol: float = 1e-9,
 ) -> CertificateReport:
     """Verify the maximality condition for every segment slope of a profile.
 
     Each segment slope must attain (within tol) the maximum of the
-    Hamiltonian over a scan grid of nonnegative slopes [0, B] with
-    B = max(10, 10 H/r).  Beyond the largest stationary slope the
-    Hamiltonian decreases monotonically, so the bounded scan is exhaustive
-    for the restricted control set.  For the unrestricted variant the
-    Hamiltonian is unbounded above as u -> -infinity (that is why no
-    unrestricted global minimizer exists), so the same nonnegative scan is
-    used and the certificate is only a one-sided/local statement there.
+    Hamiltonian over the nonnegative slopes.  Since lam > 0 sends H to
+    -infinity as u -> infinity, that maximum is attained at u = 0 or at a
+    stationary slope, so it is taken exactly over those candidates.  At an
+    interior maximizer H is quadratic, so a slope error up to about
+    sqrt(2 tol / |H''|) passes (about 6e-5 at u = 1, lam = 1/2); at the
+    boundary slope 0, where H falls linearly, up to about tol / lam.  For
+    the unrestricted variant the Hamiltonian is unbounded above as
+    u -> -infinity (that is why no unrestricted global minimizer exists),
+    so the same nonnegative maximum is used and the certificate is only a
+    one-sided/local statement there.
 
     A passing report for a restricted-variant profile certifies a
     Pontryagin extremal, hence a global minimizer within the admissible
@@ -199,24 +202,21 @@ def check_certificate(
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")
-    bound = max(10.0, 10.0 * spec.H / spec.r)
-    grid = np.linspace(0.0, bound, grid_points)
-    grid_max = float(np.max(-1.0 / (1.0 + grid * grid) - lam * grid))
+    h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
     values = tuple(hamiltonian(u, lam) for u in profile.slopes)
-    worst = max(grid_max - v for v in values)
+    worst = max(h_max - v for v in values)
     notes = []
     if spec.variant is Variant.UNRESTRICTED:
         notes.append(
             "unrestricted variant: Hamiltonian is unbounded for negative "
-            "slopes; scan covers nonnegative slopes only, so a pass is a "
-            "local (one-sided) certificate"
+            "slopes; the maximum is taken over nonnegative slopes only, so "
+            "a pass is a local (one-sided) certificate"
         )
     return CertificateReport(
         passed=worst <= tol,
         lam=lam,
         worst_violation=worst,
-        grid_max=grid_max,
-        scan_bound=bound,
+        h_max=h_max,
         segment_values=values,
         notes=tuple(notes),
     )
@@ -460,18 +460,12 @@ def staircase_gradient_check(
         return staircase_resistance(StaircaseParams(n, xi_v, mu_v), spec)
 
     point = np.concatenate([xi[free_xi], mu[free_mu]])
-    # reorder analytic gradient to match [xi_1..xi_2n, mu_1..mu_{n-1}]
-    xi_names = [f"xi_{j}" for j in free_xi]
-    mu_names = [f"mu_{j}" for j in free_mu]
-    wanted = xi_names + mu_names
-    reordered = [grad[names.index(nm)] for nm in wanted]
-
     fd = finite_difference_gradient(evaluator, point, fd_step)
-    analytic = np.asarray(reordered)
+    analytic = np.asarray(grad)
     return GradientReport(
         analytic=tuple(analytic),
         finite_difference=tuple(fd),
         analytic_norm=float(np.linalg.norm(analytic)),
         finite_difference_norm=float(np.linalg.norm(fd)),
-        coordinate_names=tuple(wanted),
+        coordinate_names=tuple(names),
     )

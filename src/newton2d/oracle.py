@@ -36,8 +36,8 @@ class DpConfig:
     def __post_init__(self) -> None:
         if self.n_cells < 2 or self.n_levels < 2:
             raise ValueError("n_cells and n_levels must both be >= 2")
-        if self.slope_bound < 0.0:
-            raise ValueError("slope_bound must be nonnegative")
+        if not 0.0 <= self.slope_bound < math.inf:
+            raise ValueError("slope_bound must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import newton2d
 from newton2d import jsonio
 from newton2d.cli import (
     EXIT_NO_SOLUTION,
@@ -16,6 +21,19 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_python(*args):
+    # a fresh interpreter sees import side effects and uncaught tracebacks
+    src = str(Path(newton2d.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def _write_profile(tmp_path, name="profile.json", r=1.0, H=1.0, variant="restricted"):
@@ -254,3 +272,30 @@ def test_export_svg_rejects_invalid_profile(tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "invalid profile" in err
     assert not out_path.exists()
+
+
+def test_cli_import_does_not_load_scipy():
+    proc = _run_python("-c", "import sys, newton2d.cli; print('scipy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--r", "1", "--H", "1", "--variant", "unrestricted",
+          "--oracle", "dp", "--slope-bound", "inf"], "slope_bound"),
+        (["verify", "--r", "1", "--H", "1", "--variant", "unrestricted",
+          "--oracle", "dp", "--slope-bound", "nan"], "slope_bound"),
+        (["solve", "--r", "1", "--H", "1e80", "--variant", "restricted"], ""),
+        (["solve", "--r", "1", "--H", "1e80", "--variant", "unrestricted"], ""),
+    ],
+)
+def test_unrepresentable_inputs_are_usage_errors(argv, message):
+    proc = _run_python("-m", "newton2d.cli", *argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]

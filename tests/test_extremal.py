@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newton2d.extremal import (
     LAMBDA_MAX,
@@ -96,6 +98,25 @@ def test_stationary_slopes_match_independent_bisection():
         )
 
 
+def _residual(u, lam):
+    return u / (1.0 + u * u) ** 2 - lam / 2.0
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.floats(min_value=1e-200, max_value=LAMBDA_MAX * (1.0 - 1e-12)))
+@example(1e-200)
+@example(lambda_for_slope(1e10))
+@example(LAMBDA_MAX * (1.0 - 1e-12))
+def test_stationary_slopes_are_bracketed_by_adjacent_doubles(lam):
+    low, high = stationary_slopes(lam)
+    assert 0.0 < low < SLOPE_THRESHOLD < high
+    for u in (low, high):
+        neighbours = (math.nextafter(u, 0.0), math.nextafter(u, math.inf))
+        assert any(
+            _residual(u, lam) * _residual(v, lam) <= 0.0 for v in neighbours
+        ), (lam, u)
+
+
 def test_stationary_slopes_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         stationary_slopes(0.0)
@@ -145,6 +166,18 @@ def test_check_certificate_accepts_steep_triangle():
     profile = make_triangle(spec)
     report = check_certificate(profile, spec, lam=lambda_for_slope(2.0))
     assert report.passed
+
+
+def test_check_certificate_is_exact_on_triangles():
+    # the slope s is itself the high stationary slope of lambda_for_slope(s),
+    # so the exact Hamiltonian maximum leaves no violation either way
+    from newton2d.geometry import make_triangle
+
+    for s in (1.5, 2.0, 7.0, 40.0):
+        spec = ProblemSpec(r=1.0, H=s)
+        report = check_certificate(make_triangle(spec), spec, lam=lambda_for_slope(s))
+        assert report.passed
+        assert abs(report.worst_violation) <= 1e-15, (s, report.worst_violation)
 
 
 def test_check_certificate_rejects_wrong_multiplier():
