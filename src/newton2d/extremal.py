@@ -71,8 +71,13 @@ def hamiltonian_derivatives(u: float, lam: float) -> tuple[float, float, float]:
 
 
 def _slope_response(u: float) -> float:
-    # g(u) = u/(1+u^2)^2; the first-order condition is g(u) = lam/2
-    return u / (1.0 + u * u) ** 2
+    # g(u) = u/(1+u^2)^2; the first-order condition is g(u) = lam/2.  The
+    # square of d overflows once d passes about 1e154, so large d divides
+    # twice; below 1e150 the single division keeps the roots' bits
+    d = 1.0 + u * u
+    if d < 1e150:
+        return u / d**2
+    return u / d / d
 
 
 def _branch_root(half: float, lo: float, hi: float) -> float:
@@ -99,6 +104,11 @@ def stationary_slopes(lam: float) -> tuple[float, ...]:
     root is found by bisecting its branch down to two adjacent doubles
     that bracket the sign change of g - lam/2; the one with the smaller
     residual is returned.  No closed-form quartic formula is used.
+
+    Both roots are returned for every positive double lam up to the peak,
+    subnormal lam included.  At the smallest one, lam = 5e-324, lam/2
+    underflows to 0.0, so the low root is 0.0 and the high root is where g
+    underflows (about 7.4e107).
     """
     if lam <= 0.0:
         raise ValueError(f"lam must be positive, got {lam}")

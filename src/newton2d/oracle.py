@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Profile, ProblemSpec, Variant
 
@@ -22,11 +23,20 @@ from .geometry import Profile, ProblemSpec, Variant
 class DpConfig:
     """Grid resolution for the dynamic-programming minimization.
 
+    n_cells (N) and n_levels (M) must be Python ints >= 2; bool and float
+    are rejected, since the restricted kernel does bit arithmetic on N.
     slope_bound sets the DP's slope set K: it is ignored for the restricted
     variant, whose K = 0..n_levels (monotone contours already keep the DP
     finite), and must be positive for the unrestricted variant, whose K
     holds every rise k with |k| * (H/n_levels) / (r/n_cells) <= slope_bound
     (its drag infimum is zero without a slope bound).
+
+    The restricted DP is free to order its rises, so it runs (min,+)
+    squaring in O(M^2 log N) time and O(M log N) split storage and reports
+    the rises flattest first.  The unrestricted contour must stay within
+    its level band at every prefix, so its DP runs the cell-by-cell
+    recurrence in O(N top |K|) time.  dp_min_resistance states the tie
+    rules.
     """
 
     n_cells: int
@@ -34,6 +44,11 @@ class DpConfig:
     slope_bound: float = 0.0
 
     def __post_init__(self) -> None:
+        for v in (self.n_cells, self.n_levels):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(
+                    f"n_cells and n_levels must be ints, got {type(v).__name__}"
+                )
         if self.n_cells < 2 or self.n_levels < 2:
             raise ValueError("n_cells and n_levels must both be >= 2")
         if not 0.0 <= self.slope_bound < math.inf:
@@ -75,22 +90,39 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     """Exact drag minimum over contours on an (n_cells, n_levels) grid.
 
     Contours are piecewise linear with breakpoints on the grid
-    x_i = i*r/N, y = j*H/M.  Both variants run one recurrence over a slope
-    set K: each cell rises k levels, k in K, at exact cost
-    c(k) = dx^3 / (dx^2 + (k dh)^2), so cost'[j] = min_k c(k) + cost[j - k]
-    over the levels 0..top.  Restricted: K = 0..M and top = M.
-    Unrestricted: K = {k : |k * dh / dx| <= slope_bound}, with top capped
-    above the bang-bang peak (B r + H) / 2.  The recurrence is
-    deterministic; ties go to the smallest |k|, then the downward rise,
-    making the reported argmin profile reproducible.
+    x_i = i*r/N, y = j*H/M.  Each cell rises k levels, k in a slope set K,
+    at exact cost c(k) = dx^3 / (dx^2 + (k dh)^2).
+
+    Restricted, K = 0..M: the drag is a sum of per-cell costs that does not
+    depend on the order of the cells, so the grid optimum is the N-th
+    (min,+) power of c truncated to the levels 0..M.  It is computed by
+    exponentiation by squaring: at most 2 floor(log2 N) products
+    (a * b)[j] = min_s a[s] + b[j - s], O(M^2 log N) time, and one (M+1)
+    split array per product, O(M log N) storage.  np.argmin takes the first
+    minimum, so a tie goes to the smallest split s, i.e. the smallest share
+    of the left factor.  The backtrack through the products yields the
+    multiset of N rises; the profile takes them flattest first (canonical
+    and optimal, as any order is), which gives at most one segment per
+    distinct slope.  The value is summed along the product tree, so it
+    differs from a cell-by-cell sum only by rounding.
+
+    Unrestricted, K = {k : |k * dh / dx| <= slope_bound}: rises may be
+    negative, and the contour must stay within the levels 0..top at every
+    prefix, with top capped above the bang-bang peak (B r + H) / 2.  The
+    order of the rises then matters and the squaring argument fails, so
+    this variant runs the cell-by-cell recurrence
+    cost'[j] = min_k c(k) + cost[j - k], O(N top |K|) time, with ties going
+    to the smallest |k|, then the downward rise.
+
+    Both kernels are deterministic, so the reported argmin profile is
+    reproducible.
     """
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
     dh = spec.H / m
-    if spec.variant is Variant.RESTRICTED:
+    restricted = spec.variant is Variant.RESTRICTED
+    if restricted:
         ks = np.arange(m + 1)
-        top = m
-        cell_cost = dx**3 / (dx * dx + (ks * dh) ** 2)
     else:
         if config.slope_bound <= 0.0:
             raise ValueError("unrestricted DP requires a positive slope_bound")
@@ -105,13 +137,59 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
             math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
         )
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
-        # scalar ** 2 goes through libm pow, which rounds differently from the
-        # array square above for about 1 argument in 1000; the unrestricted
-        # DP's pinned outputs are those of these scalar costs
-        cell_cost = np.array(
-            [dx**3 / (dx * dx + (kv * dh) ** 2) for kv in ks.tolist()]
-        )
+    cell_cost = dx**3 / (dx * dx + (ks * dh) ** 2)
+    if restricted:
+        value, rises = _min_plus_power(cell_cost, n)
+    else:
+        value, rises = _gather(cell_cost, ks, n, m, top)
+    return value, _grid_profile(spec, n, m, rises)
 
+
+def _min_plus_power(cell_cost: np.ndarray, n: int) -> tuple[float, list[int]]:
+    # N-th (min,+) power of cell_cost over the levels 0..M = cell_cost.size-1,
+    # and the rises of one contour attaining it at level M
+    m = cell_cost.size - 1
+    pad = np.full(m, np.inf)
+    rows = np.arange(m + 1)
+
+    def times(a, b):
+        # a node is (values, None) for one cell or (values, (left, right, split));
+        # row j of the window view over b reversed and padded with +inf is
+        # b[j - s] for s <= j and +inf for s > j: a lower-triangular table
+        # without an index array
+        window = sliding_window_view(np.concatenate((b[0][::-1], pad)), m + 1)
+        total = a[0] + window[::-1]
+        split = np.argmin(total, axis=1)
+        return total[rows, split], (a, b, split)
+
+    power = (cell_cost, None)
+    result = None
+    while True:
+        if n & 1:
+            result = power if result is None else times(result, power)
+        n >>= 1
+        if not n:
+            break
+        power = times(power, power)
+
+    rises: list[int] = []
+    stack = [(result, m)]
+    while stack:
+        (_, node), j = stack.pop()
+        if node is None:
+            rises.append(j)
+        else:
+            left, right, split = node
+            s = int(split[j])
+            stack.append((left, s))
+            stack.append((right, j - s))
+    rises.sort()
+    return float(result[0][m]), rises
+
+
+def _gather(
+    cell_cost: np.ndarray, ks: np.ndarray, n: int, m: int, top: int
+) -> tuple[float, list[int]]:
     rows = np.arange(top + 1)
     prev = rows[:, None] - ks
     valid = (prev >= 0) & (prev <= top)
@@ -125,9 +203,7 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
         arg = np.argmin(total, axis=1)
         cost = total[rows, arg]
         choice[i] = ks[arg]
-    value = float(cost[m])
-    rises = _backtrack(choice, m)
-    return value, _grid_profile(spec, n, m, rises)
+    return float(cost[m]), _backtrack(choice, m)
 
 
 def _backtrack(choice: np.ndarray, target_level: int) -> list[int]:

@@ -117,6 +117,23 @@ def test_stationary_slopes_are_bracketed_by_adjacent_doubles(lam):
         ), (lam, u)
 
 
+@pytest.mark.parametrize("lam", [1e-230, 1e-300, 1e-320])
+def test_stationary_slopes_tiny_lambda(lam):
+    # g(u) = u for tiny u and 1/u^3 for huge u, so the roots are lam/2 and
+    # (2/lam)^(1/3); a subnormal g carries only about 5e-324/(lam/2) of
+    # relative precision, which bounds how well the high root is pinned
+    low, high = stationary_slopes(lam)
+    assert low == lam / 2.0
+    tol = 1e-12 + 5e-324 / (lam / 2.0)
+    assert high == pytest.approx(2.0 ** (1.0 / 3.0) * lam ** (-1.0 / 3.0), rel=tol)
+
+
+def test_stationary_slopes_smallest_lambda_underflows_to_zero_low_root():
+    low, high = stationary_slopes(5e-324)
+    assert low == 0.0
+    assert SLOPE_THRESHOLD < high < math.inf
+
+
 def test_stationary_slopes_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         stationary_slopes(0.0)

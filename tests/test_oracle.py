@@ -1,5 +1,10 @@
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2d.functional import resistance_2d, triangle_resistance
 from newton2d.geometry import ProblemSpec, Variant, make_triangle, validate
@@ -10,6 +15,8 @@ from newton2d.oracle import (
     finite_difference_gradient,
     second_variation_test,
 )
+
+EPS = sys.float_info.epsilon
 
 
 def test_dp_config_validation():
@@ -22,6 +29,15 @@ def test_dp_config_validation():
             ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED),
             DpConfig(n_cells=10, n_levels=10),  # bound required
         )
+
+
+@pytest.mark.parametrize(
+    "n_cells, n_levels",
+    [(200.0, 200), (200, 200.0), (True, 200), (200, False), (np.int64(200), 200)],
+)
+def test_dp_config_rejects_non_int_sizes(n_cells, n_levels):
+    with pytest.raises(ValueError, match="ints"):
+        DpConfig(n_cells, n_levels)
 
 
 def test_dp_restricted_tall_matches_triangle():
@@ -114,31 +130,108 @@ def test_dp_is_deterministic():
     assert a[1].breakpoints == b[1].breakpoints
 
 
-# Exact DP outputs, pinned to guard the kernel's float arithmetic and its
-# tie order (restricted: smallest rise; bounded: smallest |k|, then k < 0).
+def _rise_histogram(profile, spec, n, m):
+    # {k: cells rising k levels}, read back from the merged grid profile
+    counts = {}
+    for (x0, y0), (x1, y1) in zip(profile.breakpoints, profile.breakpoints[1:]):
+        cells = round((x1 - x0) * n / spec.r)
+        k = round((y1 - y0) * m / spec.H) // cells
+        counts[k] = counts.get(k, 0) + cells
+    return counts
+
+
+def _tree_sum_bound(n, reference):
+    # a cell-by-cell sum of n positive costs against a summation tree
+    return (n + math.ceil(math.log2(n))) * EPS * reference
+
+
+# Pinned DP outputs.  Bounded: value and breakpoints bit-exact, guarding the
+# recurrence's float arithmetic and its tie order (smallest |k|, then k < 0).
+# Restricted: `value` is the cell-by-cell recurrence's 17-digit value, kept
+# as the reference; (min,+) squaring sums along a product tree, so the value
+# is asserted within _tree_sum_bound of it, the multiset of rises exactly,
+# and the canonical flattest-first breakpoints exactly.
 @pytest.mark.parametrize(
-    "r, H, variant, n, m, bound, value, breakpoints",
+    "r, H, variant, n, m, bound, value, rises, breakpoints",
     [
         (1.0, 0.4, "restricted", 200, 200, 0.0, 0.80329468212714794,
-         ((0.0, 0.0), (0.25, 0.0), (0.58, 0.396), (0.585, 0.4), (1.0, 0.4))),
+         {0: 133, 2: 1, 3: 66},
+         ((0.0, 0.0), (0.665, 0.0), (0.67, 0.004), (1.0, 0.4))),
         (1.0, 2.0, "restricted", 120, 120, 0.0, 0.20000000000000032,
+         {1: 120},
          ((0.0, 0.0), (1.0, 2.0))),
         (1.0, 0.25, "restricted", 100, 400, 0.0, 0.87500000000000067,
-         ((0.0, 0.0), (0.07, 0.07), (0.08, 0.07), (0.26, 0.25), (1.0, 0.25))),
-        (1.0, 1.0, "unrestricted", 400, 400, 2.0, 0.20000000000000015,
+         {0: 75, 16: 25},
+         ((0.0, 0.0), (0.75, 0.0), (1.0, 0.25))),
+        (1.0, 1.0, "unrestricted", 400, 400, 2.0, 0.20000000000000015, None,
          ((0.0, 0.0), (0.75, 1.5), (1.0, 1.0))),
-        (1.0, 1.0, "unrestricted", 400, 400, 5.0, 0.038461538461538325,
+        (1.0, 1.0, "unrestricted", 400, 400, 5.0, 0.038461538461538325, None,
          ((0.0, 0.0), (0.6, 3.0), (1.0, 1.0))),
-        (1.0, 1.0, "unrestricted", 400, 400, 10.0, 0.009900990099009908,
+        (1.0, 1.0, "unrestricted", 400, 400, 10.0, 0.009900990099009908, None,
          ((0.0, 0.0), (0.55, 5.5), (1.0, 1.0))),
     ],
     ids=["wide-200", "tall-120", "100x400", "bounded-B2", "bounded-B5", "bounded-B10"],
 )
-def test_dp_golden_outputs(r, H, variant, n, m, bound, value, breakpoints):
+def test_dp_golden_outputs(r, H, variant, n, m, bound, value, rises, breakpoints):
     spec = ProblemSpec(r=r, H=H, variant=variant)
     got, profile = dp_min_resistance(spec, DpConfig(n, m, bound))
-    assert got == value
+    if rises is None:
+        assert got == value
+    else:
+        assert abs(got - value) <= _tree_sum_bound(n, value)
+        assert _rise_histogram(profile, spec, n, m) == rises
     assert profile.breakpoints == breakpoints
+
+
+def _gather_reference(spec, n, m):
+    # cell-by-cell recurrence cost'[j] = min_k c(k) + cost[j - k], k = 0..M
+    dx, dh = spec.r / n, spec.H / m
+    ks = np.arange(m + 1)
+    c = dx**3 / (dx * dx + (ks * dh) ** 2)
+    prev = ks[:, None] - ks
+    cost = np.full(m + 1, np.inf)
+    cost[0] = 0.0
+    choices = []
+    for _ in range(n):
+        total = np.where(prev >= 0, c + cost[prev], np.inf)
+        choices.append(np.argmin(total, axis=1))
+        cost = total[ks, choices[-1]]
+    rises, j = {}, m
+    for arg in reversed(choices):
+        k = int(arg[j])
+        rises[k] = rises.get(k, 0) + 1
+        j -= k
+    return float(cost[m]), rises
+
+
+def _relaxation_bound(spec, n, m):
+    # lower convex envelope of f(u) = 1/(1+u^2) over the representable
+    # slopes u_k = k dh/dx, at the mean slope H/r: the DP value averages f
+    # over N slopes whose mean is H/r, so r times this bounds it below
+    u = np.arange(m + 1) * (spec.H / m) / (spec.r / n)
+    f = 1.0 / (1.0 + u * u)
+    x = spec.H / spec.r
+    lo, hi = u <= x, u >= x
+    ul, fl = u[lo][:, None], f[lo][:, None]
+    uh, fh = u[hi][None, :], f[hi][None, :]
+    span = np.where(uh > ul, uh - ul, 1.0)
+    return float(np.min(fl + (fh - fl) * (x - ul) / span))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 60),
+    st.integers(2, 60),
+    st.floats(0.5, 2.0),
+    st.floats(0.01, 3.0),
+)
+def test_dp_restricted_squaring_matches_gather_reference(n, m, r, h_over_r):
+    spec = ProblemSpec(r=r, H=h_over_r * r)
+    value, profile = dp_min_resistance(spec, DpConfig(n, m))
+    ref_value, ref_rises = _gather_reference(spec, n, m)
+    assert _rise_histogram(profile, spec, n, m) == ref_rises
+    assert abs(value - ref_value) <= _tree_sum_bound(n, ref_value)
+    assert value >= r * _relaxation_bound(spec, n, m) - n * EPS * r
 
 
 def test_perturbation_config_validation():
