@@ -4,6 +4,18 @@ Closed-form solution families for the planar drag-minimization problem
 (restricted and unrestricted slope variants), with three independent
 numerical oracles: grid dynamic programming, second-variation
 perturbation, and Monte Carlo particle collisions.
+
+The closed-form layer (geometry, functional, extremal, jsonio) needs no
+numpy and is imported eagerly.  The oracle and Monte Carlo names
+(``DpConfig``, ``dp_min_resistance``, ``estimate_resistance`` and the rest
+of ``_LAZY``) are bound on first use by a module ``__getattr__`` (PEP 562),
+so ``import newton2d`` and the closed-form CLI commands never import
+numpy.  The first access to any of them binds all of them into this
+module and deletes ``__getattr__``.  CPython (3.11 and later) does not
+specialize attribute loads on a module whose namespace holds
+``__getattr__``, so a hook that stayed would slow every ``newton2d.X``
+lookup, hits included: about twice as slow in a micro-benchmark on
+CPython 3.11.7.  Once it is gone, lookups cost what an eager import gives.
 """
 
 from .extremal import (
@@ -48,24 +60,6 @@ from .geometry import (
     profile_to_dict,
     validate,
 )
-from .montecarlo import (
-    CollisionReport,
-    ImpactRecord,
-    McEstimate,
-    estimate_resistance,
-    impact_at,
-    reflect,
-    single_collision_check,
-)
-from .oracle import (
-    DpConfig,
-    PerturbationConfig,
-    PerturbationReport,
-    dp_min_resistance,
-    finite_difference_gradient,
-    second_variation_test,
-)
-
 __all__ = [
     "LAMBDA_MAX",
     "SLOPE_THRESHOLD",
@@ -117,3 +111,41 @@ __all__ = [
     "triangle_resistance",
     "validate",
 ]
+
+_LAZY = {
+    "montecarlo": (
+        "CollisionReport",
+        "ImpactRecord",
+        "McEstimate",
+        "estimate_resistance",
+        "impact_at",
+        "reflect",
+        "single_collision_check",
+    ),
+    "oracle": (
+        "DpConfig",
+        "PerturbationConfig",
+        "PerturbationReport",
+        "dp_min_resistance",
+        "finite_difference_gradient",
+        "second_variation_test",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _LAZY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    namespace = globals()
+    for module_name, names in _LAZY.items():
+        module = import_module(f".{module_name}", __name__)
+        for lazy in names:
+            namespace[lazy] = getattr(module, lazy)
+    namespace.pop("__getattr__", None)
+    return namespace[name]
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

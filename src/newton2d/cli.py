@@ -14,7 +14,7 @@ import math
 import sys
 from typing import Sequence
 
-from . import extremal, functional, jsonio, montecarlo, oracle
+from . import extremal, functional, jsonio
 from .geometry import (
     Profile,
     ProblemSpec,
@@ -135,6 +135,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> dict:
+    from . import oracle
+
     tol = 0.01 * spec.r
     if spec.variant is Variant.RESTRICTED:
         expected = min(
@@ -160,6 +162,8 @@ def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> dict:
 
 
 def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> list[dict]:
+    from . import oracle
+
     s = spec.H / spec.r
     config = oracle.PerturbationConfig(
         epsilon=args.eps, trials=args.trials, rng_seed=args.seed
@@ -196,6 +200,8 @@ def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> list[dict]:
 
 
 def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> dict:
+    from . import montecarlo
+
     report = extremal.solve(spec)
     if report.status is extremal.SolutionStatus.NO_SOLUTION:
         profile = make_triangle(spec)
@@ -234,6 +240,8 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     r = args.r
     if args.steps < 2 or not (0.0 < args.h_min < args.h_max):
         raise _UsageError("need steps >= 2 and 0 < H-min < H-max")
+    from . import oracle
+
     heights = [
         args.h_min + (args.h_max - args.h_min) * i / (args.steps - 1)
         for i in range(args.steps)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .functional import staircase_resistance, triangle_resistance
 from .geometry import (
     Profile,
@@ -24,7 +22,6 @@ from .geometry import (
     make_staircase,
     make_triangle,
 )
-from .oracle import finite_difference_gradient
 
 #: Slope where the second derivative of the Hamiltonian changes sign.
 SLOPE_THRESHOLD = math.sqrt(3.0) / 3.0
@@ -385,6 +382,8 @@ def enumerate_minimizers(
         raise ValueError("the staircase family is empty for H > r")
     if n < 1 or count < 1:
         raise ValueError("n and count must be positive")
+    import numpy as np
+
     rng = np.random.default_rng(rng_seed)
     flat_budget = spec.r - spec.H
     members: list[StaircaseParams] = []
@@ -436,6 +435,10 @@ def staircase_gradient_check(
     """
     if params.xi[-1] != spec.r or params.mu[-1] != spec.H:
         raise ValueError("staircase parameters inconsistent with problem spec")
+    import numpy as np
+
+    from .oracle import finite_difference_gradient
+
     xi = np.asarray(params.xi)
     mu = np.asarray(params.mu)
     n = params.n

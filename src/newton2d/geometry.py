@@ -12,6 +12,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 
 class Variant(Enum):
@@ -37,6 +38,10 @@ class ProblemSpec:
             raise ValueError(f"r must be positive and finite, got {self.r}")
         if not (math.isfinite(self.H) and self.H > 0.0):
             raise ValueError(f"H must be positive and finite, got {self.H}")
+        if isinstance(self.dimension, bool) or not isinstance(self.dimension, int):
+            raise ValueError(
+                f"dimension must be an int, got {type(self.dimension).__name__}"
+            )
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
 
@@ -47,7 +52,10 @@ class Profile:
 
     Breakpoints are finite and their x-coordinates strictly increasing; a
     positive jump in y over zero width would mean an infinite slope and is
-    rejected at construction time.  Instances are immutable.
+    rejected at construction time.  Instances are immutable, so xs, ys and
+    slopes are computed once per instance and cached; the cache lives in
+    the instance dict, outside the dataclass fields, so equality, hashing
+    and repr still see the breakpoints alone.
     """
 
     breakpoints: tuple[tuple[float, float], ...]
@@ -67,15 +75,15 @@ class Profile:
                     f"({x0} -> {x1})"
                 )
 
-    @property
+    @cached_property
     def xs(self) -> tuple[float, ...]:
         return tuple(p[0] for p in self.breakpoints)
 
-    @property
+    @cached_property
     def ys(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.breakpoints)
 
-    @property
+    @cached_property
     def slopes(self) -> tuple[float, ...]:
         """Per-segment slopes u_i = (y_{i+1} - y_i) / (x_{i+1} - x_i)."""
         pts = self.breakpoints

@@ -18,6 +18,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Profile, ProblemSpec, Variant
 
+#: Most elements dp_min_resistance lets one of its tables hold.  2^25
+#: float64 are 256 MiB, and a DP step holds a few such arrays at once; a
+#: larger grid is refused before anything is built.
+MAX_TABLE_ELEMENTS = 2**25
+
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -37,6 +42,13 @@ class DpConfig:
     its level band at every prefix, so its DP runs the cell-by-cell
     recurrence in O(N top |K|) time.  dp_min_resistance states the tie
     rules.
+
+    Memory is capped: dp_min_resistance raises ValueError, before it
+    allocates any table, when its largest one would exceed
+    MAX_TABLE_ELEMENTS = 2^25 elements.  That table is the (M+1)^2 product
+    of the restricted squaring, or for the unrestricted variant the larger
+    of the N x (top+1) choice table and the (top+1) x |K| predecessor
+    table.  The cap is fixed, not a setting.
     """
 
     n_cells: int
@@ -65,8 +77,13 @@ class PerturbationConfig:
     mesh: int = 16
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0.0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
+        for v in (self.trials, self.mesh):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(
+                    f"trials and mesh must be ints, got {type(v).__name__}"
+                )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.mesh < 2:
@@ -121,21 +138,16 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     dx = spec.r / n
     dh = spec.H / m
     restricted = spec.variant is Variant.RESTRICTED
+    k_max, top, elements = _grid_extent(spec, config)
+    if elements > MAX_TABLE_ELEMENTS:
+        raise ValueError(
+            f"DP grid too large: its largest table would hold {elements} "
+            f"elements, above the cap of {MAX_TABLE_ELEMENTS}; use fewer "
+            "cells or levels, or a smaller slope_bound"
+        )
     if restricted:
         ks = np.arange(m + 1)
     else:
-        if config.slope_bound <= 0.0:
-            raise ValueError("unrestricted DP requires a positive slope_bound")
-        k_max = int(math.floor(config.slope_bound * dx / dh + 1e-12))
-        if k_max < 1 or n * k_max < m:
-            raise ValueError(
-                "infeasible grid: required total rise unreachable under slope bound"
-            )
-        # level cap: generous room above the bang-bang peak (B r + H) / 2
-        top = max(
-            m,
-            math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
-        )
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
     cell_cost = dx**3 / (dx * dx + (ks * dh) ** 2)
     if restricted:
@@ -143,6 +155,31 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     else:
         value, rises = _gather(cell_cost, ks, n, m, top)
     return value, _grid_profile(spec, n, m, rises)
+
+
+def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
+    # (k_max, top, elements): the largest rise, the top level and the size of
+    # the largest table dp_min_resistance would build, by arithmetic alone
+    n, m = config.n_cells, config.n_levels
+    if spec.variant is Variant.RESTRICTED:
+        # squaring builds one (M+1) x (M+1) sum table per product
+        return m, m, (m + 1) ** 2
+    if config.slope_bound <= 0.0:
+        raise ValueError("unrestricted DP requires a positive slope_bound")
+    dx = spec.r / n
+    dh = spec.H / m
+    k_max = int(math.floor(config.slope_bound * dx / dh + 1e-12))
+    if k_max < 1 or n * k_max < m:
+        raise ValueError(
+            "infeasible grid: required total rise unreachable under slope bound"
+        )
+    # level cap: generous room above the bang-bang peak (B r + H) / 2
+    top = max(
+        m,
+        math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
+    )
+    # the N x (top+1) choice table, or the (top+1) x |K| predecessor table
+    return k_max, top, (top + 1) * max(n, 2 * k_max + 1)
 
 
 def _min_plus_power(cell_cost: np.ndarray, n: int) -> tuple[float, list[int]]:

@@ -280,6 +280,118 @@ def test_cli_import_does_not_load_scipy():
     assert proc.stdout.strip() == "False"
 
 
+_ORACLE_MODULES = ("numpy", "newton2d.oracle", "newton2d.montecarlo")
+
+_RUN_COMMANDS = """
+import contextlib, io, json, sys
+from newton2d.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv))
+print(json.dumps([codes, [m for m in %r if m in sys.modules]]))
+""" % (_ORACLE_MODULES,)
+
+
+def _solve(r, H, variant):
+    return ["solve", "--r", r, "--H", H, "--variant", variant]
+
+
+def test_closed_form_commands_do_not_load_oracles(tmp_path):
+    profile = str(_write_profile(tmp_path, H=0.7))
+    commands = [
+        _solve("1", "0.4", "restricted"),
+        _solve("1", "1", "restricted"),
+        _solve("1", "2", "restricted"),
+        _solve("1", "1.5", "unrestricted"),
+        _solve("1", "0.4", "unrestricted"),
+        ["eval", "--profile", profile, "--dim", "3"],
+        ["export-svg", "--profile", profile, "--out", str(tmp_path / "p.svg")],
+        _solve("-1", "0.4", "restricted"),
+    ]
+    proc = _run_python("-c", _RUN_COMMANDS, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert codes == [EXIT_OK] * 4 + [EXIT_NO_SOLUTION, EXIT_OK, EXIT_OK, EXIT_USAGE]
+    assert loaded == []
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+          "--oracle", "mc", "--samples", "1000"], ["numpy", "newton2d.montecarlo"]),
+        (["sweep", "--H-min", "0.5", "--H-max", "1.5", "--steps", "2",
+          "--cells", "8", "--levels", "8", "--out"], ["numpy", "newton2d.oracle"]),
+    ],
+    ids=["verify", "sweep"],
+)
+def test_oracle_commands_load_oracles(tmp_path, argv, loaded):
+    # the counterpart of the test above, which shows it is not vacuous
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "sweep.csv")]
+    proc = _run_python("-c", _RUN_COMMANDS, json.dumps([argv]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK], loaded]
+
+
+def test_closed_form_modules_do_not_import_oracles():
+    code = (
+        "import sys\n"
+        "import newton2d.geometry, newton2d.functional\n"
+        "import newton2d.extremal, newton2d.jsonio\n"
+        f"print([m for m in {_ORACLE_MODULES!r} if m in sys.modules])"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_package_binds_oracle_names_on_first_use():
+    code = """
+import sys
+import newton2d
+
+assert "numpy" not in sys.modules
+assert set(newton2d.__all__) <= set(dir(newton2d))
+assert "__getattr__" in vars(newton2d)
+lazy = newton2d.DpConfig
+assert "__getattr__" not in vars(newton2d)
+assert "numpy" in sys.modules
+
+from newton2d import montecarlo, oracle
+
+assert lazy is oracle.DpConfig
+for module in (montecarlo, oracle):
+    for name in set(newton2d.__all__) & set(vars(module)):
+        assert vars(newton2d)[name] is vars(module)[name], name
+try:
+    newton2d.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("missing name resolved")
+print("ok")
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
+
+
+def test_star_import_binds_every_name_in_a_fresh_interpreter():
+    # the star import alone, with no earlier access, must trigger the binding
+    code = (
+        "from newton2d import *\n"
+        "import newton2d\n"
+        "print([n for n in newton2d.__all__\n"
+        "       if globals().get(n) is not getattr(newton2d, n)])"
+    )
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -289,6 +401,10 @@ def test_cli_import_does_not_load_scipy():
           "--oracle", "dp", "--slope-bound", "nan"], "slope_bound"),
         (["solve", "--r", "1", "--H", "1e80", "--variant", "restricted"], ""),
         (["solve", "--r", "1", "--H", "1e80", "--variant", "unrestricted"], ""),
+        (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+          "--oracle", "perturb", "--eps", "inf"], "epsilon"),
+        (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+          "--eps", "nan"], "epsilon"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):

@@ -33,6 +33,12 @@ def test_problem_spec_rejects_nonpositive_dimensions():
             ProblemSpec(r=1.0, H=bad)
 
 
+@pytest.mark.parametrize("dimension", [2.0, 3.0, True])
+def test_problem_spec_rejects_non_int_dimension(dimension):
+    with pytest.raises(ValueError, match="dimension must be an int"):
+        ProblemSpec(r=1.0, H=1.0, dimension=dimension)
+
+
 def test_problem_spec_accepts_variant_strings():
     spec = ProblemSpec(r=1.0, H=1.0, variant="unrestricted")
     assert spec.variant is Variant.UNRESTRICTED
@@ -159,6 +165,18 @@ def test_slope_at_is_right_continuous():
     assert make_triangle(ProblemSpec(r=1.0, H=2.0)).slope_at(0.5) == 2.0
     with pytest.raises(ValueError):
         profile.slope_at(1.5)
+
+
+def test_profile_derived_tuples_are_cached_per_instance():
+    points = ((0.0, 0.0), (0.25, 0.0), (0.5, 0.5), (1.0, 0.75))
+    profile = Profile(points)
+    assert profile.xs is profile.xs
+    assert profile.ys is profile.ys
+    assert profile.slopes is profile.slopes
+    assert profile.slopes == (0.0, 2.0, 0.5)
+    fresh = Profile(points)
+    assert profile == fresh and hash(profile) == hash(fresh)
+    assert repr(profile) == repr(fresh)
 
 
 def test_profile_rejects_nonincreasing_x():

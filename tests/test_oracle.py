@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from newton2d.functional import resistance_2d, triangle_resistance
 from newton2d.geometry import ProblemSpec, Variant, make_triangle, validate
 from newton2d.oracle import (
+    MAX_TABLE_ELEMENTS,
     DpConfig,
     PerturbationConfig,
+    _grid_extent,
     dp_min_resistance,
     finite_difference_gradient,
     second_variation_test,
@@ -120,6 +122,40 @@ def test_dp_unrestricted_infeasible_bound_raises():
     spec = ProblemSpec(r=1.0, H=2.0, variant=Variant.UNRESTRICTED)
     with pytest.raises(ValueError, match="infeasible"):
         dp_min_resistance(spec, DpConfig(n_cells=10, n_levels=100, slope_bound=1.0))
+
+
+@pytest.mark.parametrize(
+    "spec, config, elements",
+    [
+        # verify --cells 100000 --levels 100000: one (M+1)^2 product table
+        (ProblemSpec(r=1.0, H=1.0), DpConfig(100_000, 100_000), 100_001**2),
+        # verify --variant unrestricted --slope-bound 1e6: k_max = 10^6 and
+        # top = 101000100, so the (top+1) x |K| predecessor table dominates
+        (
+            ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED),
+            DpConfig(200, 200, 1e6),
+            101_000_101 * 2_000_001,
+        ),
+    ],
+    ids=["restricted-1e5", "bounded-B1e6"],
+)
+def test_dp_table_count_of_huge_grids_exceeds_cap(spec, config, elements):
+    # arithmetic only: these grids are never run
+    assert _grid_extent(spec, config)[2] == elements > MAX_TABLE_ELEMENTS
+
+
+def test_dp_table_count_of_bounded_grid():
+    # 400 x 400 at B = 10: top = 2210, |K| = 21, so the 400 x 2211 choice
+    # table is the largest
+    spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
+    assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2210, 400 * 2211)
+
+
+def test_dp_refuses_grid_above_table_cap():
+    # (6000 + 1)^2 = 3.6e7 elements > 2^25: refused before the first product,
+    # which would take about 290 MB
+    with pytest.raises(ValueError, match="DP grid too large"):
+        dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(2, 6000))
 
 
 def test_dp_is_deterministic():
@@ -241,6 +277,21 @@ def test_perturbation_config_validation():
         PerturbationConfig(epsilon=0.1, trials=0, rng_seed=0)
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.1, trials=10, rng_seed=0, mesh=1)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"epsilon": math.inf}, "epsilon must be positive and finite"),
+        ({"epsilon": math.nan}, "epsilon must be positive and finite"),
+        ({"trials": 2.5}, "trials and mesh must be ints, got float"),
+        ({"trials": True}, "trials and mesh must be ints, got bool"),
+        ({"mesh": 16.0}, "trials and mesh must be ints, got float"),
+    ],
+)
+def test_perturbation_config_rejects_non_finite_and_non_int(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        PerturbationConfig(**{"epsilon": 0.01, "trials": 1, "rng_seed": 0, **kwargs})
 
 
 def _triangle(s):
