@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import extremal, functional, jsonio
 from .geometry import (
@@ -134,15 +133,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> dict:
+def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
     from . import oracle
 
-    tol = 0.01 * spec.r
     if spec.variant is Variant.RESTRICTED:
-        expected = min(
-            functional.triangle_resistance(spec), spec.r - spec.H / 2.0
-        )
-        claim = "restricted DP minimum matches min(r^3/(r^2+H^2), r - H/2)"
+        expected = extremal.solve(spec).minimal_resistance
+        claim = "restricted DP minimum matches the closed-form minimum of solve"
         config = oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
     else:
         b = args.slope_bound
@@ -151,86 +147,104 @@ def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> dict:
         config = oracle.DpConfig(
             n_cells=args.cells, n_levels=args.levels, slope_bound=b
         )
-    value, _ = oracle.dp_min_resistance(spec, config)
-    return {
-        "claim": claim,
-        "expected": expected,
-        "observed": value,
-        "tolerance": tol,
-        "pass": abs(value - expected) <= tol,
-    }
+
+    def run() -> list[dict]:
+        value, _ = oracle.dp_min_resistance(spec, config)
+        tol = 0.01 * spec.r
+        return [
+            {
+                "claim": claim,
+                "expected": expected,
+                "observed": value,
+                "tolerance": tol,
+                "pass": abs(value - expected) <= tol,
+            }
+        ]
+
+    return run
 
 
-def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> list[dict]:
+def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
     from . import oracle
 
-    s = spec.H / spec.r
     config = oracle.PerturbationConfig(
         epsilon=args.eps, trials=args.trials, rng_seed=args.seed
     )
-    report = oracle.second_variation_test(make_triangle(spec), spec, config)
-    entries = [
-        {
-            "claim": "perturbation ratio matches integrand curvature f''(H/r)",
-            "expected": report.expected_ratio,
-            "observed": report.mean_ratio,
-            "tolerance": 0.05 * abs(report.expected_ratio),
-            "pass": abs(report.mean_ratio - report.expected_ratio)
-            <= 0.05 * abs(report.expected_ratio),
-        }
-    ]
-    threshold = extremal.SLOPE_THRESHOLD
-    if abs(s - threshold) > 1e-9:
-        expect_min = s > threshold
-        observed_positive = report.min_delta > 0.0
-        entries.append(
+
+    def run() -> list[dict]:
+        s = spec.H / spec.r
+        report = oracle.second_variation_test(make_triangle(spec), spec, config)
+        entries = [
             {
-                "claim": (
-                    "straight contour is a weak local minimum"
-                    if expect_min
-                    else "straight contour admits drag-decreasing perturbations"
-                ),
-                "expected": expect_min,
-                "observed": observed_positive,
-                "tolerance": 0.0,
-                "pass": observed_positive == expect_min,
+                "claim": "perturbation ratio matches integrand curvature f''(H/r)",
+                "expected": report.expected_ratio,
+                "observed": report.mean_ratio,
+                "tolerance": 0.05 * abs(report.expected_ratio),
+                "pass": abs(report.mean_ratio - report.expected_ratio)
+                <= 0.05 * abs(report.expected_ratio),
             }
-        )
-    return entries
+        ]
+        threshold = extremal.SLOPE_THRESHOLD
+        if abs(s - threshold) > 1e-9:
+            expect_min = s > threshold
+            observed_positive = report.min_delta > 0.0
+            entries.append(
+                {
+                    "claim": (
+                        "straight contour is a weak local minimum"
+                        if expect_min
+                        else "straight contour admits drag-decreasing perturbations"
+                    ),
+                    "expected": expect_min,
+                    "observed": observed_positive,
+                    "tolerance": 0.0,
+                    "pass": observed_positive == expect_min,
+                }
+            )
+        return entries
+
+    return run
 
 
-def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> dict:
+def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
     from . import montecarlo
 
-    report = extremal.solve(spec)
-    if report.status is extremal.SolutionStatus.NO_SOLUTION:
-        profile = make_triangle(spec)
-        expected = functional.triangle_resistance(spec)
-        claim = "MC drag of the straight contour matches r^3/(r^2+H^2)"
-    else:
-        profile = report.representative_profiles[0]
-        expected = report.minimal_resistance
-        claim = "MC drag of the solution profile matches the closed form"
-    estimate = montecarlo.estimate_resistance(profile, args.samples, args.seed)
-    tol = max(3.0 * estimate.std_error, 1e-9)
-    return {
-        "claim": claim,
-        "expected": expected,
-        "observed": estimate.estimate,
-        "tolerance": tol,
-        "pass": abs(estimate.estimate - expected) <= tol,
-    }
+    def run() -> list[dict]:
+        report = extremal.solve(spec)
+        if report.status is extremal.SolutionStatus.NO_SOLUTION:
+            profile = make_triangle(spec)
+            expected = functional.triangle_resistance(spec)
+            claim = "MC drag of the straight contour matches r^3/(r^2+H^2)"
+        else:
+            profile = report.representative_profiles[0]
+            expected = report.minimal_resistance
+            claim = "MC drag of the solution profile matches the closed form"
+        estimate = montecarlo.estimate_resistance(profile, args.samples, args.seed)
+        # a floor relative to r, so that a tiny body is still checked
+        tol = max(3.0 * estimate.std_error, 1e-9 * spec.r)
+        return [
+            {
+                "claim": claim,
+                "expected": expected,
+                "observed": estimate.estimate,
+                "tolerance": tol,
+                "pass": abs(estimate.estimate - expected) <= tol,
+            }
+        ]
+
+    return run
+
+
+_VERIFIERS = {"dp": _verify_dp, "perturb": _verify_perturb, "mc": _verify_mc}
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _problem_spec(args)
-    checks: list[dict] = []
-    if args.oracle in ("dp", "all"):
-        checks.append(_verify_dp(spec, args))
-    if args.oracle in ("perturb", "all"):
-        checks.extend(_verify_perturb(spec, args))
-    if args.oracle in ("mc", "all"):
-        checks.append(_verify_mc(spec, args))
+    names = _VERIFIERS if args.oracle == "all" else (args.oracle,)
+    # each verifier builds its config and returns its run, so that every
+    # flag is checked before the first oracle runs
+    runs = [_VERIFIERS[name](spec, args) for name in names]
+    checks = [check for run in runs for check in run()]
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks)}
     sys.stdout.write(jsonio.dumps(payload))
     return EXIT_OK if payload["pass"] else EXIT_VERIFY_FAILED
@@ -247,7 +261,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
         for i in range(args.steps)
     ]
     marked = {
-        math.sqrt(3.0) / 3.0 * r: "threshold-sqrt3over3",
+        extremal.SLOPE_THRESHOLD * r: "threshold-sqrt3over3",
         r: "crossover-H-equals-r",
     }
     rows = []
@@ -264,7 +278,7 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
             {
                 "h_over_r": h / r,
                 "triangle_R": functional.triangle_resistance(spec),
-                "staircase_R": (r - h / 2.0) if h <= r else None,
+                "staircase_R": report.minimal_resistance if h <= r else None,
                 "dp_R": dp_value,
                 "status": status,
             }

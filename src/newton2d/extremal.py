@@ -21,6 +21,7 @@ from .geometry import (
     Variant,
     make_staircase,
     make_triangle,
+    profile_to_dict,
 )
 
 #: Slope where the second derivative of the Hamiltonian changes sign.
@@ -251,8 +252,6 @@ class SolutionReport:
             raise ValueError("infinite-family reports need >= 2 representatives")
 
     def to_dict(self, spec: ProblemSpec) -> dict:
-        from .geometry import profile_to_dict
-
         return {
             "status": self.status.value,
             "resistance": self.minimal_resistance,
@@ -316,54 +315,43 @@ def solve(spec: ProblemSpec) -> SolutionReport:
                     "solution",
                 ),
             )
-        return SolutionReport(
-            variant=spec.variant,
-            status=SolutionStatus.LOCAL_MINIMIZER_ONLY,
-            minimal_resistance=triangle_resistance(spec),
-            representative_profiles=(make_triangle(spec),),
-            certificate=make_certificate(lambda_for_slope(ratio)),
-            notes=(
-                "local minimizer only: up/down wedges of growing slope drive "
-                "the drag to zero, so no unrestricted global minimum exists",
-            ),
+        status, notes = SolutionStatus.LOCAL_MINIMIZER_ONLY, (
+            "local minimizer only: up/down wedges of growing slope drive "
+            "the drag to zero, so no unrestricted global minimum exists",
         )
-    # restricted variant
-    if H > r:
-        return SolutionReport(
-            variant=spec.variant,
-            status=SolutionStatus.UNIQUE_MINIMIZER,
-            minimal_resistance=triangle_resistance(spec),
-            representative_profiles=(make_triangle(spec),),
-            certificate=make_certificate(lambda_for_slope(ratio)),
+    elif H < r:
+        reps = (
+            make_staircase(spec, io_staircase_params(spec)),
+            make_staircase(spec, fo_staircase_params(spec)),
+            make_staircase(spec, _two_rise_params(spec)),
         )
-    if H == r:
         return SolutionReport(
             variant=spec.variant,
-            status=SolutionStatus.UNIQUE_MINIMIZER,
-            minimal_resistance=triangle_resistance(spec),
-            representative_profiles=(make_triangle(spec),),
+            status=SolutionStatus.INFINITE_FAMILY,
+            minimal_resistance=r - H / 2.0,
+            representative_profiles=reps,
             certificate=make_certificate(0.5),
             notes=(
-                "H = r: the staircase family's flat budget r - H is zero, so "
-                "it collapses to the single straight contour; r - H/2 and "
-                "r^3/(r^2+H^2) agree here",
+                "every flat/rise staircase with slope-1 rises of total width H "
+                "attains the same minimal drag r - H/2",
             ),
         )
-    reps = (
-        make_staircase(spec, io_staircase_params(spec)),
-        make_staircase(spec, fo_staircase_params(spec)),
-        make_staircase(spec, _two_rise_params(spec)),
-    )
+    elif H > r:
+        status, notes = SolutionStatus.UNIQUE_MINIMIZER, ()
+    else:
+        status, notes = SolutionStatus.UNIQUE_MINIMIZER, (
+            "H = r: the staircase family's flat budget r - H is zero, so "
+            "it collapses to the single straight contour; r - H/2 and "
+            "r^3/(r^2+H^2) agree here",
+        )
+    # the straight contour; at H = r its multiplier 2s/(1+s^2)^2 is exactly 1/2
     return SolutionReport(
         variant=spec.variant,
-        status=SolutionStatus.INFINITE_FAMILY,
-        minimal_resistance=r - H / 2.0,
-        representative_profiles=reps,
-        certificate=make_certificate(0.5),
-        notes=(
-            "every flat/rise staircase with slope-1 rises of total width H "
-            "attains the same minimal drag r - H/2",
-        ),
+        status=status,
+        minimal_resistance=triangle_resistance(spec),
+        representative_profiles=(make_triangle(spec),),
+        certificate=make_certificate(lambda_for_slope(ratio)),
+        notes=notes,
     )
 
 

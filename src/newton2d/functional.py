@@ -7,7 +7,16 @@ quadrature is used anywhere.
 
 from __future__ import annotations
 
-from .geometry import Profile, ProblemSpec, StaircaseParams
+from .geometry import Profile, ProblemSpec, StaircaseParams, make_staircase
+
+
+def _segment_drag(width: float, rise: float) -> float:
+    # w^3 / (w^2 + h^2) written in the slope, so that it scales exactly with
+    # (w, h) where w^3 would under- or overflow; zero width has no drag
+    if width == 0.0:
+        return 0.0
+    u = rise / width
+    return width / (1.0 + u * u)
 
 
 def resistance_2d(profile: Profile) -> float:
@@ -15,8 +24,7 @@ def resistance_2d(profile: Profile) -> float:
     total = 0.0
     pts = profile.breakpoints
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        u = (y1 - y0) / (x1 - x0)
-        total += (x1 - x0) / (1.0 + u * u)
+        total += _segment_drag(x1 - x0, y1 - y0)
     return total
 
 
@@ -28,30 +36,24 @@ def resistance_3d(profile: Profile) -> float:
     total = 0.0
     pts = profile.breakpoints
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        u = (y1 - y0) / (x1 - x0)
-        total += (x1 * x1 - x0 * x0) / (2.0 * (1.0 + u * u))
+        total += 0.5 * (x0 + x1) * _segment_drag(x1 - x0, y1 - y0)
     return total
 
 
 def triangle_resistance(spec: ProblemSpec) -> float:
     """Drag of the straight contour y = (H/r) x: r^3 / (r^2 + H^2)."""
-    return spec.r**3 / (spec.r**2 + spec.H**2)
+    return _segment_drag(spec.r, spec.H)
 
 
 def staircase_resistance(params: StaircaseParams, spec: ProblemSpec) -> float:
-    """Drag of a flat/rise staircase directly from its (xi, mu) parameters.
+    """Drag of a flat/rise staircase from its (xi, mu) parameters.
 
-    Flats contribute their width; rise i contributes
-    w^3 / (w^2 + h^2) with w, h its width and height.  Agrees with
-    resistance_2d of the constructed profile to machine precision.
+    Flats contribute their width; rise i contributes w^3 / (w^2 + h^2)
+    with w, h its width and height.  Evaluated as resistance_2d of the
+    constructed profile, which raises ValueError when the parameters do
+    not end at (r, H).
     """
-    if params.xi[-1] != spec.r or params.mu[-1] != spec.H:
-        raise ValueError("staircase parameters inconsistent with problem spec")
-    total = sum(params.flat_widths)
-    for w, h in zip(params.rise_widths, params.rise_heights):
-        if w > 0.0:
-            total += w**3 / (w * w + h * h)
-    return total
+    return resistance_2d(make_staircase(spec, params))
 
 
 def branch_resistance_initial_flat(xi: float, spec: ProblemSpec) -> float:
@@ -61,8 +63,7 @@ def branch_resistance_initial_flat(xi: float, spec: ProblemSpec) -> float:
     """
     if not (0.0 <= xi < spec.r):
         raise ValueError(f"xi = {xi} must lie in [0, r) with r = {spec.r}")
-    w = spec.r - xi
-    return xi + w**3 / (w * w + spec.H**2)
+    return xi + _segment_drag(spec.r - xi, spec.H)
 
 
 def branch_resistance_final_flat(xi: float, spec: ProblemSpec) -> float:
@@ -72,7 +73,7 @@ def branch_resistance_final_flat(xi: float, spec: ProblemSpec) -> float:
     """
     if not (0.0 < xi <= spec.r):
         raise ValueError(f"xi = {xi} must lie in (0, r] with r = {spec.r}")
-    return xi**3 / (xi * xi + spec.H**2) + spec.r - xi
+    return _segment_drag(xi, spec.H) + spec.r - xi
 
 
 def resistance_difference(xi: float, spec: ProblemSpec) -> float:
@@ -83,9 +84,7 @@ def resistance_difference(xi: float, spec: ProblemSpec) -> float:
     """
     if not (0.0 <= xi <= spec.r):
         raise ValueError(f"xi = {xi} must lie in [0, r] with r = {spec.r}")
-    r, H = spec.r, spec.H
-    final_flat = xi**3 / (xi * xi + H * H) + r - xi
-    return triangle_resistance(spec) - final_flat
+    return triangle_resistance(spec) - (_segment_drag(xi, spec.H) + spec.r - xi)
 
 
 def resistance_difference_closed_form(xi: float, spec: ProblemSpec) -> float:

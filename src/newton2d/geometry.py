@@ -103,11 +103,6 @@ class Profile:
         """Slope of the segment containing x; right-segment slope at breakpoints."""
         return self.slopes[self.segment_index(x)]
 
-    def height_at(self, x: float) -> float:
-        i = self.segment_index(x)
-        x0, y0 = self.breakpoints[i]
-        return y0 + self.slopes[i] * (x - x0)
-
 
 @dataclass(frozen=True)
 class StaircaseParams:

@@ -154,11 +154,11 @@ def test_eval_missing_and_invalid_files(tmp_path, capsys):
     assert "invalid profile" in err
 
 
-def test_verify_all_oracles_pass(capsys):
+def _check_verify_all_oracles_pass(capsys, H):
     code, out, _ = _run(
         capsys,
         [
-            "verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+            "verify", "--r", "1", "--H", H, "--variant", "restricted",
             "--cells", "100", "--levels", "100",
             "--trials", "64", "--eps", "0.005",
             "--samples", "200000", "--seed", "42",
@@ -170,6 +170,50 @@ def test_verify_all_oracles_pass(capsys):
     assert len(payload["checks"]) >= 3
     for check in payload["checks"]:
         assert {"claim", "expected", "observed", "tolerance", "pass"} <= set(check)
+    return payload
+
+
+def test_verify_all_oracles_pass(capsys):
+    _check_verify_all_oracles_pass(capsys, "0.4")
+
+
+@pytest.mark.parametrize("H", ["1", "1.5"])
+def test_verify_all_oracles_pass_on_tall_bodies(capsys, H):
+    # for H >= r the restricted minimum is the straight contour's drag
+    payload = _check_verify_all_oracles_pass(capsys, H)
+    dp = payload["checks"][0]
+    assert dp["claim"].startswith("restricted ")
+    assert dp["expected"] == 1.0 / (1.0 + float(H) ** 2)
+
+
+def test_verify_rejects_bad_flags_before_any_oracle_runs(capsys, monkeypatch):
+    from newton2d import oracle
+
+    def dp_must_not_run(*args, **kwargs):
+        raise AssertionError("the DP ran before the flags were checked")
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", dp_must_not_run)
+    code, out, err = _run(
+        capsys,
+        ["verify", "--r", "1", "--H", "0.4", "--variant", "restricted", "--eps", "nan"],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "epsilon" in err
+
+
+def test_verify_mc_tolerance_scales_with_r(capsys):
+    code, out, _ = _run(
+        capsys,
+        [
+            "verify", "--r", "1e-150", "--H", "4e-151", "--variant", "restricted",
+            "--oracle", "mc", "--samples", "200000",
+        ],
+    )
+    assert code == EXIT_OK
+    (check,) = json.loads(out)["checks"]
+    assert check["tolerance"] < 1e-140
+    assert check["pass"] is True
 
 
 def test_verify_single_oracle_selection(capsys):
@@ -390,6 +434,14 @@ def test_star_import_binds_every_name_in_a_fresh_interpreter():
     proc = _run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("r, H", [("1e-150", "1e-150"), ("1e-170", "2e-170"), ("1e150", "2e150")])
+def test_solve_is_scale_free_at_extreme_sizes(r, H):
+    proc = _run_python("-m", "newton2d.cli", *_solve(r, H, "restricted"))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    r, H = float(r), float(H)
+    assert json.loads(proc.stdout)["resistance"] == r / (1.0 + (H / r) ** 2)
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from newton2d.extremal import (
     staircase_gradient_check,
     stationary_slopes,
 )
-from newton2d.functional import staircase_resistance
+from newton2d.functional import staircase_resistance, triangle_resistance
 from newton2d.geometry import ProblemSpec, StaircaseParams, Variant, make_staircase, validate
 
 
@@ -258,6 +258,25 @@ def test_solve_unrestricted_below_and_at_threshold():
         ProblemSpec(r=1.0, H=SLOPE_THRESHOLD, variant=Variant.UNRESTRICTED)
     )
     assert at.status is SolutionStatus.NO_SOLUTION
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    st.floats(min_value=0.5, max_value=2.0),
+    st.floats(min_value=0.05, max_value=20.0),
+    st.integers(min_value=-1000, max_value=1000),
+)
+@example(1.0, 1.0, -1000)
+@example(1.0, 2.0, 1000)
+def test_closed_forms_scale_exactly(r, H, k):
+    # the values stay normal doubles at every k drawn, so a power-of-two
+    # scale of the body must scale its drag without any rounding
+    spec = ProblemSpec(r=r, H=H)
+    scaled = ProblemSpec(r=math.ldexp(r, k), H=math.ldexp(H, k))
+    assert triangle_resistance(scaled) == math.ldexp(triangle_resistance(spec), k)
+    assert solve(scaled).minimal_resistance == math.ldexp(
+        solve(spec).minimal_resistance, k
+    )
 
 
 def test_solve_rejects_dimension_3():

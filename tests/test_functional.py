@@ -75,7 +75,7 @@ def test_staircase_resistance_agrees_with_profile_evaluation():
         mu[n] = H
         params = StaircaseParams(n=n, xi=tuple(xi), mu=tuple(mu))
         direct = resistance_2d(make_staircase(spec, params))
-        assert staircase_resistance(params, spec) == pytest.approx(direct, rel=1e-12)
+        assert staircase_resistance(params, spec) == direct
 
 
 def test_counterexample_resistance_golden():
