@@ -209,6 +209,8 @@ def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[],
 def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
     from . import montecarlo
 
+    montecarlo.check_sample_count(args.samples)
+
     def run() -> list[dict]:
         report = extremal.solve(spec)
         if report.status is extremal.SolutionStatus.NO_SOLUTION:

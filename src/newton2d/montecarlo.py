@@ -9,11 +9,21 @@ an independent check of the drag integrand rather than a restatement.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import Profile
+
+#: Most samples estimate_resistance draws; see check_sample_count.
+MAX_SAMPLES = 2**25
+
+#: Most (segment, breakpoint) pairs single_collision_check evaluates at once
+#: (one row of S + 1 when S + 1 is larger).  A block keeps about a dozen
+#: float64 temporaries of that size alive, 1.5 MiB at 2^14, which fits a
+#: 2 MiB L2 cache; a dense table over all pairs would hold S^2 elements.
+COLLISION_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -61,15 +71,15 @@ def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     may be a float or an array; the result has shape (2,) + shape(slope),
     row 0 holding the x components and row 1 the y components.
     """
-    v = np.asarray(velocity, dtype=float)
-    norm = np.hypot(v[0], v[1])
+    vx, vy = np.asarray(velocity, dtype=float).tolist()
+    norm = math.hypot(vx, vy)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"velocity must be a unit vector, |v| = {norm}")
     den = np.sqrt(1.0 + slope * slope)
     nx = -slope / den
     ny = 1.0 / den
-    vdotn = v[0] * nx + v[1] * ny
-    return np.array([v[0] - 2.0 * vdotn * nx, v[1] - 2.0 * vdotn * ny])
+    twice_vdotn = 2.0 * (vx * nx + vy * ny)
+    return np.array([vx - twice_vdotn * nx, vy - twice_vdotn * ny])
 
 
 def impact_at(profile: Profile, x: float) -> ImpactRecord:
@@ -85,6 +95,25 @@ def impact_at(profile: Profile, x: float) -> ImpactRecord:
     )
 
 
+def check_sample_count(n_samples: int) -> None:
+    """Reject a Monte Carlo sample count before anything is drawn.
+
+    n_samples must be a Python int (bool is rejected) with
+    1 <= n_samples <= MAX_SAMPLES = 2^25.  estimate_resistance holds at most
+    four n-element 8-byte arrays at once (the draws, the segment index
+    before and after clipping, the per-sample impulses): 32 bytes per
+    sample, 1 GiB at the cap.  The cap is fixed, not a setting.
+    """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int):
+        raise ValueError(f"n_samples must be an int, got {type(n_samples).__name__}")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if n_samples > MAX_SAMPLES:
+        raise ValueError(
+            f"n_samples must be at most {MAX_SAMPLES} (2^25), got {n_samples}"
+        )
+
+
 def estimate_resistance(
     profile: Profile, n_samples: int, rng_seed: int
 ) -> McEstimate:
@@ -94,8 +123,7 @@ def estimate_resistance(
     [0, r], so (r/n) * sum(axial_impulse / 2) is an unbiased estimator of
     the drag integral.  Deterministic for a fixed seed.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    check_sample_count(n_samples)
     rng = np.random.default_rng(rng_seed)
     xs_bp = np.array(profile.xs)
     # half the axial impulse of a particle reflected by each segment; an
@@ -120,29 +148,83 @@ def estimate_resistance(
 
 
 def single_collision_check(profile: Profile, ray_tol: float = 1e-9) -> CollisionReport:
-    """Check the single-impact hypothesis by tracing reflected rays.
+    """Check the single-impact hypothesis exactly, over all segment pairs.
 
-    For each segment, the ray reflected from its midpoint is intersected
-    with every other segment of the contour graph.  Monotone contours with
-    slopes in [0, 1] never re-intersect: their rays travel weakly leftward
-    and upward over strictly lower parts of the graph.  Negative-slope
+    Every downward particle that strikes segment i leaves along the one
+    direction d_i = reflect((0, -1), u_i), so the reflected rays of segment i
+    sweep the half-strip {P_i + t e_i + s d_i : t in [0, 1], s > 0}, where
+    P_i is its left end and e_i its edge vector.  The pair (i, j) is a
+    re-intersection when the part of segment j inside that half-strip has
+    positive t-extent, i.e. when a positive share of segment i's particles
+    meet segment j.  Contact of measure zero is not a collision: grazing at
+    a shared vertex, or the horizontal rays of a slope-1 rise running along
+    the flat before it.  Segment i itself lies on s = 0 and drops out.
+    Shadowing is not modelled: a ray that meets two segments counts for
+    both, so `passed` is exact while a listed pair may lie behind a nearer
+    one.
+
+    ray_tol is the t-measure threshold: (i, j) is reported when more than
+    ray_tol of segment i's particles reach segment j; it must lie in
+    [0, 1).  Error model: the t of a breakpoint is a cross product divided
+    by e_i x d_i = w_i (segment i's width), and the extent a difference of
+    such t's or of convex combinations of them, so its rounding error is a
+    few units of 2^-52 * D / w_i, with D the diagonal of the contour's
+    bounding box.  The default 1e-9 thus tells grazing contact (exact
+    extent 0) from a collision while D / w_i stays below about 10^5, and it
+    ignores a collision reaching at most a 1e-9 share of the particles.
+
+    Monotone contours with slopes in [0, 1] never re-intersect: their rays
+    travel weakly leftward and upward over lower parts of the graph.  A
+    slope above 1, which the restricted variant admits, sends rays down and
+    to the left, and they can strike the faces before it.  Negative-slope
     faces are flagged in the notes because the analytic drag keeps pricing
     them by the single-impact rule regardless.
+
+    Memory is O(S) for S segments: the pairs are evaluated in blocks of
+    max(1, COLLISION_BLOCK // (S + 1)) rows of segment i against all S + 1
+    breakpoints, so no temporary holds more than max(COLLISION_BLOCK, S + 1)
+    elements.  The pairs are reported in lexicographic order.
     """
-    pts = profile.breakpoints
+    if not 0.0 <= ray_tol < 1.0:
+        raise ValueError(f"ray_tol must lie in [0, 1), got {ray_tol}")
+    x, y = np.array(profile.breakpoints).T
     slopes = profile.slopes
+    u = np.array(slopes)
+    dx, dy = reflect((0.0, -1.0), u)
+    width = x[1:] - x[:-1]
+    # breakpoint k in row i's strip coordinates: t = ((B_k - P_i) x d_i) / w_i,
+    # and s has the sign of (y_k - y_i) - u_i (x_k - x_i); both are ratios of
+    # lengths, so the check is scale-free
+    tx, ty = (dy / width)[:, None], (dx / width)[:, None]
+    u = u[:, None]
+    n_seg = width.size
+    rows = max(1, COLLISION_BLOCK // (n_seg + 1))
     hits: list[tuple[int, int]] = []
+    for lo in range(0, n_seg, rows):
+        hi = min(lo + rows, n_seg)
+        rx = x - x[lo:hi, None]
+        ry = y - y[lo:hi, None]
+        t = rx * tx[lo:hi] - ry * ty[lo:hi]
+        s = ry - rx * u[lo:hi]
+        inside = s > 0.0
+        t0, t1, s0, s1 = t[:, :-1], t[:, 1:], s[:, :-1], s[:, 1:]
+        in0, in1 = inside[:, :-1], inside[:, 1:]
+        # where exactly one end of segment j is inside, it crosses s = 0 at
+        # t_c, a convex combination of t0 and t1; elsewhere t_cross keeps a
+        # finite placeholder that is read only when both ends are outside,
+        # as ta = tb, whose extent is <= 0
+        t_cross = s0 * t1 - s1 * t0
+        np.divide(t_cross, s0 - s1, out=t_cross, where=in0 != in1)
+        ta = np.where(in0, t0, t_cross)
+        tb = np.where(in1, t1, t_cross)
+        extent = np.minimum(np.maximum(ta, tb), 1.0) - np.maximum(
+            np.minimum(ta, tb), 0.0
+        )
+        # segment i lies on s = 0 itself, which rounding may not reproduce
+        np.fill_diagonal(extent[:, lo:], 0.0)
+        ii, jj = np.nonzero(extent > ray_tol)
+        hits += zip((ii + lo).tolist(), jj.tolist())
     notes: list[str] = []
-    for i, u in enumerate(slopes):
-        (ax0, ay0), (ax1, ay1) = pts[i], pts[i + 1]
-        ox = (ax0 + ax1) / 2.0
-        oy = (ay0 + ay1) / 2.0
-        d = reflect((0.0, -1.0), u)
-        for j in range(len(slopes)):
-            if j == i:
-                continue
-            if _ray_hits_segment(ox, oy, d[0], d[1], pts[j], pts[j + 1], ray_tol):
-                hits.append((i, j))
     if any(u < 0.0 for u in slopes):
         notes.append(
             "profile has negative-slope faces; the analytic drag values "
@@ -154,24 +236,3 @@ def single_collision_check(profile: Profile, ray_tol: float = 1e-9) -> Collision
         passed=not hits,
         notes=tuple(notes),
     )
-
-
-def _ray_hits_segment(
-    ox: float,
-    oy: float,
-    dx: float,
-    dy: float,
-    p0: tuple[float, float],
-    p1: tuple[float, float],
-    tol: float,
-) -> bool:
-    ex = p1[0] - p0[0]
-    ey = p1[1] - p0[1]
-    det = dx * (-ey) - (-ex) * dy
-    if abs(det) < 1e-15:
-        return False
-    bx = p0[0] - ox
-    by = p0[1] - oy
-    t = (bx * (-ey) + ex * by) / det
-    s = (dx * by - dy * bx) / det
-    return t > tol and -1e-12 <= s <= 1.0 + 1e-12

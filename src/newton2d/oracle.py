@@ -108,7 +108,8 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
 
     Contours are piecewise linear with breakpoints on the grid
     x_i = i*r/N, y = j*H/M.  Each cell rises k levels, k in a slope set K,
-    at exact cost c(k) = dx^3 / (dx^2 + (k dh)^2).
+    at exact cost c(k) = dx / (1 + u^2) with u = k (dh / dx), a form that
+    scales with the body (dx^3 would underflow or overflow at extreme r).
 
     Restricted, K = 0..M: the drag is a sum of per-cell costs that does not
     depend on the order of the cells, so the grid optimum is the N-th
@@ -149,7 +150,8 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
         ks = np.arange(m + 1)
     else:
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
-    cell_cost = dx**3 / (dx * dx + (ks * dh) ** 2)
+    slope = ks * (dh / dx)
+    cell_cost = dx / (1.0 + slope * slope)
     if restricted:
         value, rises = _min_plus_power(cell_cost, n)
     else:

@@ -202,6 +202,23 @@ def test_verify_rejects_bad_flags_before_any_oracle_runs(capsys, monkeypatch):
     assert "epsilon" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", str(2**25 + 1)])
+def test_verify_rejects_bad_samples_before_any_oracle_runs(capsys, monkeypatch, samples):
+    from newton2d import oracle
+
+    def dp_must_not_run(*args, **kwargs):
+        raise AssertionError("the DP ran before the flags were checked")
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", dp_must_not_run)
+    code, out, err = _run(
+        capsys,
+        ["verify", "--r", "1", "--H", "0.4", "--variant", "restricted", "--samples", samples],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "n_samples" in err
+
+
 def test_verify_mc_tolerance_scales_with_r(capsys):
     code, out, _ = _run(
         capsys,
@@ -442,6 +459,20 @@ def test_solve_is_scale_free_at_extreme_sizes(r, H):
     assert proc.returncode == EXIT_OK, proc.stderr
     r, H = float(r), float(H)
     assert json.loads(proc.stdout)["resistance"] == r / (1.0 + (H / r) ** 2)
+
+
+@pytest.mark.parametrize("r, H", [("1e-150", "4e-151"), ("1e110", "4e109"), ("1e-105", "4e-106")])
+def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
+    # the default 200x200 grid's optimum at H/r = 0.4 is 0.803294682127149 r
+    # at every scale: the per-cell cost must neither underflow nor overflow
+    proc = _run_python(
+        "-m", "newton2d.cli", "verify", "--r", r, "--H", H,
+        "--variant", "restricted", "--oracle", "dp",
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    (check,) = json.loads(proc.stdout)["checks"]
+    expected = 0.803294682127149 * float(r)
+    assert check["observed"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,12 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from newton2d import montecarlo
 from newton2d.extremal import io_staircase_params
 from newton2d.functional import resistance_2d
 from newton2d.geometry import (
@@ -13,6 +19,7 @@ from newton2d.geometry import (
     make_triangle,
 )
 from newton2d.montecarlo import (
+    MAX_SAMPLES,
     estimate_resistance,
     impact_at,
     reflect,
@@ -129,3 +136,155 @@ def test_single_collision_detects_reintersection_in_a_valley():
     report = single_collision_check(profile)
     assert not report.passed
     assert (1, 2) in report.reintersections
+
+
+def test_single_collision_detects_steep_face_over_a_concave_corner():
+    # segment 2 (slope 3.11) sends its rays down and to the left, into the
+    # two faces before it; the ray from its midpoint alone misses them
+    profile = Profile(
+        ((0.0, 0.0), (0.47, 0.668), (0.66, 0.840), (0.87, 1.493), (1.0, 1.5))
+    )
+    report = single_collision_check(profile)
+    assert report.reintersections == ((2, 0), (2, 1))
+    assert not report.passed
+    assert report.notes == ()
+
+
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_single_collision_report_is_scale_free(k):
+    # scaling by a power of two is exact, so the report must not move
+    for pts in (
+        ((0.0, 0.0), (0.47, 0.668), (0.66, 0.840), (0.87, 1.493), (1.0, 1.5)),
+        ((0.0, 0.0), (0.4, 2.0), (0.6, 0.5), (1.0, 2.0)),
+    ):
+        scaled = Profile(tuple((math.ldexp(x, k), math.ldexp(y, k)) for x, y in pts))
+        assert single_collision_check(scaled) == single_collision_check(Profile(pts))
+
+
+def _dense_ray_counts(profile: Profile, n_rays: int) -> np.ndarray:
+    # counts[i, j]: how many of n_rays reflected rays, one from the middle of
+    # each of n_rays equal parts of segment i, meet segment j; the reflected
+    # direction of a downward particle is (-2u, 1 - u^2) / (1 + u^2)
+    pts = np.array(profile.breakpoints)
+    start, edge = pts[:-1], np.diff(pts, axis=0)
+    u = edge[:, 1] / edge[:, 0]
+    direction = np.stack([-2.0 * u, 1.0 - u * u], axis=1) / (1.0 + u * u)[:, None]
+    t = (np.arange(n_rays) + 0.5) / n_rays
+    n_seg = len(edge)
+    counts = np.zeros((n_seg, n_seg), dtype=int)
+    for i in range(n_seg):
+        dx, dy = direction[i]
+        origin = start[i] + t[:, None] * edge[i]
+        for j in range(n_seg):
+            bx, by = edge[j]
+            den = dx * by - dy * bx
+            if j == i or den == 0.0:
+                continue
+            qx, qy = (start[j] - origin).T
+            # a ray nearly parallel to segment j overflows tau, and misses
+            with np.errstate(over="ignore"):
+                along = (qx * by - qy * bx) / den
+                tau = (qx * dy - qy * dx) / den
+            counts[i, j] = np.count_nonzero((along > 1e-12) & (tau >= 0.0) & (tau <= 1.0))
+    return counts
+
+
+@st.composite
+def _contours(draw):
+    n = draw(st.integers(2, 6))
+    low = draw(st.sampled_from([0.0, -3.0]))  # monotone or not
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
+    slopes = draw(st.lists(st.floats(low, 3.0), min_size=n, max_size=n))
+    pts = [(0.0, 0.0)]
+    for w, u in zip(widths, slopes):
+        pts.append((pts[-1][0] + w, pts[-1][1] + w * u))
+    return Profile(tuple(pts))
+
+
+N_RAYS = 2001
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contours())
+def test_single_collision_agrees_with_dense_rays(profile):
+    # a pair's t-measure and its ray count agree to about one ray spacing,
+    # so only pairs clearly above it are compared: three rays confirm a
+    # measure of at least 2/N_RAYS, far above ray_tol, and a measure above
+    # 3/N_RAYS holds at least three rays
+    counts = _dense_ray_counts(profile, N_RAYS)
+    report = single_collision_check(profile)
+    assert report.reintersections == tuple(sorted(report.reintersections))
+    assert report.passed == (not report.reintersections)
+    confirmed = set(zip(*(idx.tolist() for idx in np.nonzero(counts >= 3))))
+    assert confirmed <= set(report.reintersections)
+    wide = single_collision_check(profile, ray_tol=3.0 / N_RAYS).reintersections
+    assert all(counts[i, j] >= 3 for i, j in wide)
+
+
+@pytest.mark.parametrize("n_seg, block", [(2000, None), (400, 64), (300, 1)])
+def test_single_collision_memory_is_bounded_by_the_block(monkeypatch, n_seg, block):
+    # slopes in [0, 1]: no hits, so the report adds nothing to the peak
+    if block is not None:
+        monkeypatch.setattr(montecarlo, "COLLISION_BLOCK", block)
+    rng = np.random.default_rng(n_seg)
+    widths = rng.uniform(0.5, 1.0, n_seg)
+    ys = np.cumsum(widths * rng.uniform(0.0, 1.0, n_seg))
+    xs = np.cumsum(widths)
+    profile = Profile(((0.0, 0.0),) + tuple(zip(xs.tolist(), ys.tolist())))
+    profile.slopes
+    tracemalloc.start()
+    try:
+        report = single_collision_check(profile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    # a block keeps about a dozen temporaries of max(block, S + 1) float64,
+    # next to a few (S + 1)-element arrays; the dense table needs 8 S^2 bytes
+    largest = max(montecarlo.COLLISION_BLOCK, n_seg + 1)
+    bound = 8 * (16 * largest + 32 * (n_seg + 1))
+    assert peak <= bound < 8 * n_seg**2
+
+
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_single_collision_report_does_not_depend_on_the_block(monkeypatch, rows):
+    # 40 segments, 41 breakpoints: blocks of 1, 3 or 7 rows, the last one
+    # short, must each skip exactly their own diagonal
+    rng = np.random.default_rng(rows)
+    widths = rng.uniform(0.05, 1.0, 40)
+    pts = np.column_stack(
+        [np.cumsum(np.r_[0.0, widths]), np.cumsum(np.r_[0.0, widths * rng.uniform(-3, 3, 40)])]
+    )
+    profile = Profile(tuple(map(tuple, pts.tolist())))
+    expected = single_collision_check(profile)
+    assert len(expected.reintersections) > 40
+    monkeypatch.setattr(montecarlo, "COLLISION_BLOCK", rows * 41)
+    assert single_collision_check(profile) == expected
+
+
+def test_single_collision_rejects_a_tolerance_outside_the_unit_measure():
+    profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
+    for tol in (-1e-9, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="ray_tol"):
+            single_collision_check(profile, ray_tol=tol)
+
+
+@pytest.mark.parametrize("n_samples", [True, 1000.0, -1, MAX_SAMPLES + 1])
+def test_estimate_rejects_bad_sample_counts(n_samples):
+    profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
+    with pytest.raises(ValueError, match="n_samples"):
+        estimate_resistance(profile, n_samples, rng_seed=0)
+
+
+def test_estimate_caps_the_sample_count_before_allocating():
+    # 2^40 samples would take 32 TiB; the cap refuses them by arithmetic
+    profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+            estimate_resistance(profile, 2**40, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert MAX_SAMPLES == 2**25
+    assert peak < 2**16
