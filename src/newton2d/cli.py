@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Callable, Sequence
 
@@ -27,6 +28,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_SOLUTION = 2
 EXIT_VERIFY_FAILED = 3
+
+#: Most rows sweep tabulates.  Each row runs one restricted DP, about 4 ms
+#: at the default 200x200 grid, so a sweep at the cap takes under a minute;
+#: the count is checked before the list of heights is built.
+MAX_SWEEP_STEPS = 10_000
+
+#: Blank border of an exported SVG, in px; width and height must exceed
+#: twice it.
+SVG_MARGIN = 50.0
 
 
 class _UsageError(Exception):
@@ -254,8 +264,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _sweep_rows(args: argparse.Namespace) -> list[dict]:
     r = args.r
-    if args.steps < 2 or not (0.0 < args.h_min < args.h_max):
-        raise _UsageError("need steps >= 2 and 0 < H-min < H-max")
+    if not 2 <= args.steps <= MAX_SWEEP_STEPS or not (
+        0.0 < args.h_min < args.h_max < math.inf
+    ):
+        raise _UsageError(
+            f"need 2 <= steps <= {MAX_SWEEP_STEPS} and finite 0 < H-min < H-max"
+        )
     from . import oracle
 
     heights = [
@@ -331,9 +345,14 @@ def render_svg(profile, spec: ProblemSpec, width: int, height: int) -> str:
     """SVG with the contour, its mirror image across the y-axis, and axes.
 
     The mirrored copy shows the full symmetric body (the straight contour's
-    body is a triangle).
+    body is a triangle).  width and height must exceed 2 * SVG_MARGIN.
     """
-    margin = 50.0
+    margin = SVG_MARGIN
+    if not (width > 2 * margin and height > 2 * margin):
+        raise ValueError(
+            f"width and height must be above {2 * margin:g} px (twice the "
+            f"margin), got {width} x {height}"
+        )
     ys = [y for _, y in profile.breakpoints]
     y_top = max(max(ys), spec.H) * 1.05 or 1.0
     sx = (width - 2 * margin) / (2.0 * spec.r)

@@ -26,8 +26,6 @@ def dumps(obj: Any, indent: int = 2) -> str:
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
     pad = " " * (indent * (level + 1))
     close_pad = " " * (indent * level)
-    if hasattr(obj, "item") and type(obj).__module__ == "numpy":
-        obj = obj.item()  # numpy scalars
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):

@@ -99,15 +99,16 @@ def check_sample_count(n_samples: int) -> None:
     """Reject a Monte Carlo sample count before anything is drawn.
 
     n_samples must be a Python int (bool is rejected) with
-    1 <= n_samples <= MAX_SAMPLES = 2^25.  estimate_resistance holds at most
-    four n-element 8-byte arrays at once (the draws, the segment index
-    before and after clipping, the per-sample impulses): 32 bytes per
-    sample, 1 GiB at the cap.  The cap is fixed, not a setting.
+    2 <= n_samples <= MAX_SAMPLES = 2^25; one sample has no standard error.
+    estimate_resistance holds at most four n-element 8-byte arrays at once
+    (the draws, the segment index before and after clipping, the per-sample
+    impulses): 32 bytes per sample, 1 GiB at the cap.  The cap is fixed,
+    not a setting.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, int):
         raise ValueError(f"n_samples must be an int, got {type(n_samples).__name__}")
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples < 2:
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if n_samples > MAX_SAMPLES:
         raise ValueError(
             f"n_samples must be at most {MAX_SAMPLES} (2^25), got {n_samples}"
@@ -129,16 +130,13 @@ def estimate_resistance(
     # half the axial impulse of a particle reflected by each segment; an
     # impact takes its segment's value, exactly as if reflected one by one
     g_segment = (reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0
-    x0, x1 = xs_bp[0], xs_bp[-1]
+    x0, x1 = profile.xs[0], profile.xs[-1]
     xs = rng.uniform(x0, x1, n_samples)
     idx = np.clip(np.searchsorted(xs_bp, xs, side="right") - 1, 0, g_segment.size - 1)
     g = g_segment[idx]
     width = x1 - x0
     estimate = width * float(np.mean(g))
-    if n_samples > 1:
-        std_error = width * float(np.std(g, ddof=1)) / np.sqrt(n_samples)
-    else:
-        std_error = float("inf")
+    std_error = width * float(np.std(g, ddof=1)) / math.sqrt(n_samples)
     return McEstimate(
         estimate=estimate,
         std_error=std_error,

@@ -18,10 +18,14 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import Profile, ProblemSpec, Variant
 
-#: Most elements dp_min_resistance lets one of its tables hold.  2^25
-#: float64 are 256 MiB, and a DP step holds a few such arrays at once; a
-#: larger grid is refused before anything is built.
+#: Most elements dp_min_resistance lets one of its tables hold: the sums of
+#: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
+#: 128 MiB).  A larger grid is refused before anything is built.
 MAX_TABLE_ELEMENTS = 2**25
+
+#: Most sums one row block of a DP (min,+) product holds (512 KiB of
+#: float64); a product over more levels or rises is evaluated block by block.
+DP_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -29,26 +33,27 @@ class DpConfig:
     """Grid resolution for the dynamic-programming minimization.
 
     n_cells (N) and n_levels (M) must be Python ints >= 2; bool and float
-    are rejected, since the restricted kernel does bit arithmetic on N.
+    are rejected, since the restricted DP does bit arithmetic on N.
     slope_bound sets the DP's slope set K: it is ignored for the restricted
     variant, whose K = 0..n_levels (monotone contours already keep the DP
     finite), and must be positive for the unrestricted variant, whose K
     holds every rise k with |k| * (H/n_levels) / (r/n_cells) <= slope_bound
     (its drag infimum is zero without a slope bound).
 
-    The restricted DP is free to order its rises, so it runs (min,+)
-    squaring in O(M^2 log N) time and O(M log N) split storage and reports
+    Both variants run the same (min,+) product over K; the variant picks
+    the schedule.  The restricted DP is free to order its rises, so it
+    squares, in O(M^2 log N) time and O(M log N) rise storage, and reports
     the rises flattest first.  The unrestricted contour must stay within
-    its level band at every prefix, so its DP runs the cell-by-cell
-    recurrence in O(N top |K|) time.  dp_min_resistance states the tie
-    rules.
+    its level band at every prefix, so its DP chains the product cell by
+    cell, in O(N top |K|) time.  dp_min_resistance states the tie rules.
 
-    Memory is capped: dp_min_resistance raises ValueError, before it
-    allocates any table, when its largest one would exceed
-    MAX_TABLE_ELEMENTS = 2^25 elements.  That table is the (M+1)^2 product
-    of the restricted squaring, or for the unrestricted variant the larger
-    of the N x (top+1) choice table and the (top+1) x |K| predecessor
-    table.  The cap is fixed, not a setting.
+    Size is capped: dp_min_resistance raises ValueError, before it
+    allocates anything, when its largest table would exceed
+    MAX_TABLE_ELEMENTS = 2^25 elements.  That table is the (M+1)^2 sums of
+    one restricted product, or for the unrestricted variant the larger of
+    the N x (top+1) rise table and the (top+1) x |K| sums of one product.
+    A product forms its sums in row blocks of at most DP_BLOCK = 2^16, so
+    they bound its work, not its memory.  The cap is fixed, not a setting.
     """
 
     n_cells: int
@@ -69,7 +74,12 @@ class DpConfig:
 
 @dataclass(frozen=True)
 class PerturbationConfig:
-    """Scale, trial count, seed and mesh size for perturbation tests."""
+    """Scale, trial count, seed and mesh size for perturbation tests.
+
+    epsilon must be finite and positive; trials (>= 1), mesh (>= 2) and
+    rng_seed (>= 0) must be Python ints, not bool, so that a bad value is
+    refused when the config is built, before any oracle runs.
+    """
 
     epsilon: float
     trials: int
@@ -88,6 +98,14 @@ class PerturbationConfig:
             raise ValueError("trials must be >= 1")
         if self.mesh < 2:
             raise ValueError("mesh must be >= 2")
+        if (
+            isinstance(self.rng_seed, bool)
+            or not isinstance(self.rng_seed, int)
+            or self.rng_seed < 0
+        ):
+            raise ValueError(
+                f"rng_seed must be a non-negative int, got {self.rng_seed!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -111,28 +129,34 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     at exact cost c(k) = dx / (1 + u^2) with u = k (dh / dx), a form that
     scales with the body (dx^3 would underflow or overflow at extreme r).
 
-    Restricted, K = 0..M: the drag is a sum of per-cell costs that does not
-    depend on the order of the cells, so the grid optimum is the N-th
-    (min,+) power of c truncated to the levels 0..M.  It is computed by
-    exponentiation by squaring: at most 2 floor(log2 N) products
-    (a * b)[j] = min_s a[s] + b[j - s], O(M^2 log N) time, and one (M+1)
-    split array per product, O(M log N) storage.  np.argmin takes the first
-    minimum, so a tie goes to the smallest split s, i.e. the smallest share
-    of the left factor.  The backtrack through the products yields the
-    multiset of N rises; the profile takes them flattest first (canonical
-    and optimal, as any order is), which gives at most one segment per
-    distinct slope.  The value is summed along the product tree, so it
-    differs from a cell-by-cell sum only by rounding.
+    Both variants run one (min,+) product over the levels 0..top,
+    (a * b)[j] = min_k a[j - k] + b[k] with k in K, whose ties go to the
+    first minimum in K's tie order, and one backtrack through the tree of
+    products; the variant alone picks the schedule.  A product forms its
+    sums in row blocks of at most DP_BLOCK.
+
+    Restricted, K = 0..M, top = M: the drag is a sum of per-cell costs that
+    does not depend on the order of the cells, so the grid optimum is the
+    N-th (min,+) power of c.  It is computed by exponentiation by squaring:
+    at most 2 floor(log2 N) products, O(M^2 log N) time, and one (M+1) rise
+    array per product, O(M log N) storage.  K's tie order is M..0, so a tie
+    goes to the right factor's largest share, i.e. the smallest share of
+    the left factor.  The backtrack yields the multiset of N rises; the
+    profile takes them flattest first (canonical and optimal, as any order
+    is), which gives at most one segment per distinct slope.  The value is
+    summed along the product tree, so it differs from a cell-by-cell sum
+    only by rounding.
 
     Unrestricted, K = {k : |k * dh / dx| <= slope_bound}: rises may be
     negative, and the contour must stay within the levels 0..top at every
     prefix, with top capped above the bang-bang peak (B r + H) / 2.  The
     order of the rises then matters and the squaring argument fails, so
-    this variant runs the cell-by-cell recurrence
-    cost'[j] = min_k c(k) + cost[j - k], O(N top |K|) time, with ties going
-    to the smallest |k|, then the downward rise.
+    this variant chains the product cell by cell,
+    cost'[j] = min_k cost[j - k] + c(k), in O(N top |K|) time with an
+    N x (top+1) rise table.  K's tie order is (|k|, k): ties go to the
+    smallest |k|, then the downward rise.
 
-    Both kernels are deterministic, so the reported argmin profile is
+    Both schedules are deterministic, so the reported argmin profile is
     reproducible.
     """
     n, m = config.n_cells, config.n_levels
@@ -147,16 +171,21 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
             "cells or levels, or a smaller slope_bound"
         )
     if restricted:
-        ks = np.arange(m + 1)
+        # tie order M..0: the right factor's largest share first, so a tie
+        # gives the left factor its smallest share
+        ks = np.arange(m, -1, -1)
     else:
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
     slope = ks * (dh / dx)
     cell_cost = dx / (1.0 + slope * slope)
     if restricted:
-        value, rises = _min_plus_power(cell_cost, n)
+        values, tree = _square(cell_cost, ks, n)
     else:
-        value, rises = _gather(cell_cost, ks, n, m, top)
-    return value, _grid_profile(spec, n, m, rises)
+        values, tree = _chain(cell_cost, ks, n, top)
+    rises = _backtrack(tree, values, m)
+    if restricted:
+        rises.sort()
+    return float(values[m]), _grid_profile(spec, n, m, rises)
 
 
 def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
@@ -164,7 +193,7 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
     # the largest table dp_min_resistance would build, by arithmetic alone
     n, m = config.n_cells, config.n_levels
     if spec.variant is Variant.RESTRICTED:
-        # squaring builds one (M+1) x (M+1) sum table per product
+        # squaring forms (M+1) x (M+1) sums per product
         return m, m, (m + 1) ** 2
     if config.slope_bound <= 0.0:
         raise ValueError("unrestricted DP requires a positive slope_bound")
@@ -180,82 +209,92 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
         m,
         math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
     )
-    # the N x (top+1) choice table, or the (top+1) x |K| predecessor table
+    # the N x (top+1) rise table, or the (top+1) x |K| sums of one product
     return k_max, top, (top + 1) * max(n, 2 * k_max + 1)
 
 
-def _min_plus_power(cell_cost: np.ndarray, n: int) -> tuple[float, list[int]]:
-    # N-th (min,+) power of cell_cost over the levels 0..M = cell_cost.size-1,
-    # and the rises of one contour attaining it at level M
-    m = cell_cost.size - 1
+def _product(window, b, ks, cols, values, rises) -> None:
+    # values[j] = (a * b)[j] = min_t a[j - ks[t]] + b[t] over the levels j of
+    # a, and rises[j] = ks[t] for the first minimum: t runs over K in its tie
+    # order, so np.argmin's first minimum is the tie rule.  window is the
+    # sliding_window_view of a padded with +inf; its column cols[t] holds
+    # a[j - ks[t]], or +inf where j - ks[t] leaves the levels, so no index
+    # table and no mask are built.  Rows go in blocks of at most DP_BLOCK
+    # sums, so a product's temporaries stay small on any grid.
+    step = max(1, DP_BLOCK // ks.size)
+    for lo in range(0, values.size, step):
+        total = window[lo : lo + step, cols] + b
+        t = total.argmin(axis=1)
+        values[lo : lo + step] = total[np.arange(t.size), t]
+        rises[lo : lo + step] = ks[t]
+
+
+def _square(cell_cost, ks, n):
+    # restricted schedule: the N-th power of one cell by squaring, since the
+    # order of the rises does not matter.  K = M..0, so the window over the
+    # left factor, padded with M below, takes its columns as a plain slice
+    # and the right factor enters reversed (copied, so that the sums run
+    # over contiguous memory).  A factor is (values, tree).
+    m = ks.size - 1
     pad = np.full(m, np.inf)
-    rows = np.arange(m + 1)
 
-    def times(a, b):
-        # a node is (values, None) for one cell or (values, (left, right, split));
-        # row j of the window view over b reversed and padded with +inf is
-        # b[j - s] for s <= j and +inf for s > j: a lower-triangular table
-        # without an index array
-        window = sliding_window_view(np.concatenate((b[0][::-1], pad)), m + 1)
-        total = a[0] + window[::-1]
-        split = np.argmin(total, axis=1)
-        return total[rows, split], (a, b, split)
+    def multiply(x, y):
+        values = np.empty(m + 1)
+        rises = np.empty(m + 1, dtype=np.int32)
+        window = sliding_window_view(np.concatenate((pad, x[0])), m + 1)
+        _product(window, y[0][::-1].copy(), ks, slice(None), values, rises)
+        return values, (x[1], y[1], rises)
 
-    power = (cell_cost, None)
+    power = (cell_cost[::-1], None)
     result = None
     while True:
         if n & 1:
-            result = power if result is None else times(result, power)
+            result = power if result is None else multiply(result, power)
         n >>= 1
         if not n:
-            break
-        power = times(power, power)
+            return result
+        power = multiply(power, power)
 
+
+def _chain(cell_cost, ks, n, top):
+    # slope-bounded schedule: one cell at a time, since every prefix must stay
+    # within the levels 0..top.  The levels alternate between two buffers
+    # padded with k_max +inf on each side, each with one window; the rises go
+    # into one contiguous table.  The first product places one cell on the
+    # levels, so its tree is a leaf and its row is never read.
+    k_max = int(ks.max())
+    cols = k_max - ks
+    buffers = np.full((2, top + 1 + 2 * k_max), np.inf)
+    windows = [sliding_window_view(buffer, 2 * k_max + 1) for buffer in buffers]
+    levels = buffers[:, k_max : k_max + top + 1]
+    levels[0, 0] = 0.0
+    rises = np.empty((n, top + 1), dtype=np.int32)
+    tree = None
+    for i in range(n):
+        _product(windows[i % 2], cell_cost, ks, cols, levels[1 - i % 2], rises[i])
+        if i:
+            tree = (tree, None, rises[i])
+    return levels[n % 2], tree
+
+
+def _backtrack(tree, values, level: int) -> list[int]:
+    # the rises of a contour attaining values[level], left factor first.  A
+    # tree is None for one cell, which rises by the level asked of it, or
+    # (left, right, rises) for a product, whose rises[j] is the right
+    # factor's share of level j.
+    if not math.isfinite(values[level]):
+        raise RuntimeError(f"DP found no contour reaching level {level}")
     rises: list[int] = []
-    stack = [(result, m)]
+    stack = [(tree, level)]
     while stack:
-        (_, node), j = stack.pop()
+        node, j = stack.pop()
         if node is None:
             rises.append(j)
         else:
-            left, right, split = node
-            s = int(split[j])
-            stack.append((left, s))
-            stack.append((right, j - s))
-    rises.sort()
-    return float(result[0][m]), rises
-
-
-def _gather(
-    cell_cost: np.ndarray, ks: np.ndarray, n: int, m: int, top: int
-) -> tuple[float, list[int]]:
-    rows = np.arange(top + 1)
-    prev = rows[:, None] - ks
-    valid = (prev >= 0) & (prev <= top)
-    prev = np.where(valid, prev, 0)
-    cost = np.full(top + 1, np.inf)
-    cost[0] = 0.0
-    choice = np.empty((n, top + 1), dtype=np.int32)
-    for i in range(n):
-        total = np.where(valid, cell_cost[None, :] + cost[prev], np.inf)
-        # argmin takes the first minimum in K's order, flattest rise first
-        arg = np.argmin(total, axis=1)
-        cost = total[rows, arg]
-        choice[i] = ks[arg]
-    return float(cost[m]), _backtrack(choice, m)
-
-
-def _backtrack(choice: np.ndarray, target_level: int) -> list[int]:
-    n = choice.shape[0]
-    j = target_level
-    rises: list[int] = []
-    for i in range(n - 1, -1, -1):
-        k = int(choice[i, j])
-        rises.append(k)
-        j -= k
-    if j != 0:
-        raise RuntimeError("DP backtrack failed to reach level 0")
-    rises.reverse()
+            left, right, shares = node
+            k = int(shares[j])
+            stack.append((right, k))
+            stack.append((left, j - k))
     return rises
 
 

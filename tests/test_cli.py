@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from newton2d.cli import (
     EXIT_NO_SOLUTION,
     EXIT_OK,
     EXIT_USAGE,
+    MAX_SWEEP_STEPS,
     main,
 )
 from newton2d.geometry import ProblemSpec, make_triangle, profile_to_dict
@@ -202,7 +204,7 @@ def test_verify_rejects_bad_flags_before_any_oracle_runs(capsys, monkeypatch):
     assert "epsilon" in err
 
 
-@pytest.mark.parametrize("samples", ["0", "-5", str(2**25 + 1)])
+@pytest.mark.parametrize("samples", ["0", "-5", "1", str(2**25 + 1)])
 def test_verify_rejects_bad_samples_before_any_oracle_runs(capsys, monkeypatch, samples):
     from newton2d import oracle
 
@@ -217,6 +219,22 @@ def test_verify_rejects_bad_samples_before_any_oracle_runs(capsys, monkeypatch, 
     assert code == EXIT_USAGE
     assert out == ""
     assert "n_samples" in err
+
+
+def test_verify_rejects_bad_seed_before_any_oracle_runs(capsys, monkeypatch):
+    from newton2d import oracle
+
+    def dp_must_not_run(*args, **kwargs):
+        raise AssertionError("the DP ran before the flags were checked")
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", dp_must_not_run)
+    code, out, err = _run(
+        capsys,
+        ["verify", "--r", "1", "--H", "0.4", "--variant", "restricted", "--seed", "-1"],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "rng_seed must be a non-negative int" in err
 
 
 def test_verify_mc_tolerance_scales_with_r(capsys):
@@ -286,6 +304,53 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
     assert "H-min" in err or "steps" in err
 
 
+@pytest.mark.parametrize(
+    "h_min, h_max", [("0.2", "inf"), ("nan", "1.4"), ("0.2", "nan"), ("0", "1.4")]
+)
+def test_sweep_rejects_non_finite_range(tmp_path, capsys, h_min, h_max):
+    out_path = tmp_path / "x.csv"
+    code, out, err = _run(
+        capsys,
+        [
+            "sweep", "--H-min", h_min, "--H-max", h_max,
+            "--steps", "4", "--out", str(out_path),
+        ],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "finite 0 < H-min < H-max" in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("steps", ["1", str(MAX_SWEEP_STEPS + 1), "1000000000000"])
+def test_sweep_caps_steps_before_building_rows(tmp_path, capsys, monkeypatch, steps):
+    # refused by comparison alone: no height list is built and no DP runs
+    from newton2d import oracle
+
+    def dp_must_not_run(*args, **kwargs):
+        raise AssertionError("the DP ran before the steps were checked")
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", dp_must_not_run)
+    out_path = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code, out, err = _run(
+            capsys,
+            [
+                "sweep", "--H-min", "0.2", "--H-max", "1.4",
+                "--steps", steps, "--out", str(out_path),
+            ],
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"2 <= steps <= {MAX_SWEEP_STEPS}" in err
+    assert not out_path.exists()
+    assert peak < 2**20
+
+
 def test_export_svg(tmp_path, capsys):
     profile_path = _write_profile(tmp_path)
     out_path = tmp_path / "body.svg"
@@ -299,6 +364,39 @@ def test_export_svg(tmp_path, capsys):
     assert "<svg" in svg and "</svg>" in svg
     assert svg.count("<polyline") == 2  # contour plus its mirror image
     assert json.loads(out)["out"] == str(out_path)
+
+
+@pytest.mark.parametrize(
+    "width, height", [("-5", "0"), ("100", "600"), ("800", "100"), ("0", "0")]
+)
+def test_export_svg_rejects_sizes_within_the_margins(tmp_path, capsys, width, height):
+    profile_path = _write_profile(tmp_path)
+    out_path = tmp_path / "body.svg"
+    code, out, err = _run(
+        capsys,
+        [
+            "export-svg", "--profile", str(profile_path), "--out", str(out_path),
+            "--width", width, "--height", height,
+        ],
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "width and height must be above 100 px" in err
+    assert not out_path.exists()
+
+
+def test_export_svg_accepts_the_smallest_size(tmp_path, capsys):
+    profile_path = _write_profile(tmp_path)
+    out_path = tmp_path / "body.svg"
+    code, _, _ = _run(
+        capsys,
+        [
+            "export-svg", "--profile", str(profile_path), "--out", str(out_path),
+            "--width", "101", "--height", "101",
+        ],
+    )
+    assert code == EXIT_OK
+    assert 'viewBox="0 0 101 101"' in out_path.read_text()
 
 
 def test_export_svg_missing_profile(tmp_path, capsys):

@@ -105,6 +105,15 @@ def test_estimate_rejects_empty_sample():
         estimate_resistance(profile, n_samples=0, rng_seed=0)
 
 
+def test_estimate_fields_are_python_scalars():
+    # JSON output takes them as they are, with no numpy conversion
+    spec = ProblemSpec(r=1.0, H=0.4)
+    est = estimate_resistance(make_staircase(spec, io_staircase_params(spec)), 1000, 3)
+    assert type(est.estimate) is float
+    assert type(est.std_error) is float
+    assert est.std_error > 0.0
+
+
 def test_estimate_to_dict_round_trip_keys():
     profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
     payload = estimate_resistance(profile, n_samples=10, rng_seed=1).to_dict()
@@ -269,7 +278,7 @@ def test_single_collision_rejects_a_tolerance_outside_the_unit_measure():
             single_collision_check(profile, ray_tol=tol)
 
 
-@pytest.mark.parametrize("n_samples", [True, 1000.0, -1, MAX_SAMPLES + 1])
+@pytest.mark.parametrize("n_samples", [True, 1000.0, -1, 1, MAX_SAMPLES + 1])
 def test_estimate_rejects_bad_sample_counts(n_samples):
     profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
     with pytest.raises(ValueError, match="n_samples"):

@@ -1,17 +1,21 @@
 import math
 import sys
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newton2d import oracle
 from newton2d.functional import resistance_2d, triangle_resistance
 from newton2d.geometry import ProblemSpec, Variant, make_triangle, validate
 from newton2d.oracle import (
     MAX_TABLE_ELEMENTS,
     DpConfig,
     PerturbationConfig,
+    _backtrack,
     _grid_extent,
     dp_min_resistance,
     finite_difference_gradient,
@@ -130,7 +134,7 @@ def test_dp_unrestricted_infeasible_bound_raises():
         # verify --cells 100000 --levels 100000: one (M+1)^2 product table
         (ProblemSpec(r=1.0, H=1.0), DpConfig(100_000, 100_000), 100_001**2),
         # verify --variant unrestricted --slope-bound 1e6: k_max = 10^6 and
-        # top = 101000100, so the (top+1) x |K| predecessor table dominates
+        # top = 101000100, so the (top+1) x |K| sums of one product dominate
         (
             ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED),
             DpConfig(200, 200, 1e6),
@@ -145,17 +149,51 @@ def test_dp_table_count_of_huge_grids_exceeds_cap(spec, config, elements):
 
 
 def test_dp_table_count_of_bounded_grid():
-    # 400 x 400 at B = 10: top = 2210, |K| = 21, so the 400 x 2211 choice
+    # 400 x 400 at B = 10: top = 2210, |K| = 21, so the 400 x 2211 rise
     # table is the largest
     spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
     assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2210, 400 * 2211)
 
 
 def test_dp_refuses_grid_above_table_cap():
-    # (6000 + 1)^2 = 3.6e7 elements > 2^25: refused before the first product,
-    # which would take about 290 MB
+    # (6000 + 1)^2 = 3.6e7 sums per product > 2^25: refused before the first
+    # product
     with pytest.raises(ValueError, match="DP grid too large"):
         dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(2, 6000))
+
+
+@pytest.mark.parametrize("block", [1, 7, 1000])
+def test_dp_output_does_not_depend_on_the_block_size(monkeypatch, block):
+    # blocks of 1, 7 // |K| = 0 (one row) and a few rows split every product
+    cases = [
+        (ProblemSpec(r=1.0, H=0.4), DpConfig(30, 40)),
+        (ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED), DpConfig(20, 20, 3.0)),
+    ]
+    expected = [dp_min_resistance(spec, config) for spec, config in cases]
+    monkeypatch.setattr(oracle, "DP_BLOCK", block)
+    for (spec, config), (value, profile) in zip(cases, expected):
+        got, got_profile = dp_min_resistance(spec, config)
+        assert got == value
+        assert got_profile.breakpoints == profile.breakpoints
+
+
+def test_dp_product_memory_is_bounded_by_the_block():
+    # one product over 4001 levels forms 4001^2 sums (128 MB) in all; row
+    # blocks hold at most DP_BLOCK of them (512 KiB) besides O(M) vectors
+    tracemalloc.start()
+    try:
+        dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(2, 4000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert oracle.DP_BLOCK == 2**16
+    assert peak < 4 * 2**20
+
+
+def test_dp_backtrack_refuses_an_unreached_level():
+    # a fault check: every grid dp_min_resistance accepts reaches level M
+    with pytest.raises(RuntimeError, match="no contour reaching level 2"):
+        _backtrack(None, np.array([0.0, 1.0, np.inf]), 2)
 
 
 def test_dp_is_deterministic():
@@ -164,16 +202,6 @@ def test_dp_is_deterministic():
     b = dp_min_resistance(spec, DpConfig(n_cells=80, n_levels=80))
     assert a[0] == b[0]
     assert a[1].breakpoints == b[1].breakpoints
-
-
-def _rise_histogram(profile, spec, n, m):
-    # {k: cells rising k levels}, read back from the merged grid profile
-    counts = {}
-    for (x0, y0), (x1, y1) in zip(profile.breakpoints, profile.breakpoints[1:]):
-        cells = round((x1 - x0) * n / spec.r)
-        k = round((y1 - y0) * m / spec.H) // cells
-        counts[k] = counts.get(k, 0) + cells
-    return counts
 
 
 def _tree_sum_bound(n, reference):
@@ -219,25 +247,45 @@ def test_dp_golden_outputs(r, H, variant, n, m, bound, value, rises, breakpoints
     assert profile.breakpoints == breakpoints
 
 
-def _gather_reference(spec, n, m):
-    # cell-by-cell recurrence cost'[j] = min_k c(k) + cost[j - k], k = 0..M
+def _gather_reference(spec, n, m, ks, top):
+    # cell-by-cell recurrence cost'[j] = min_k c(k) + cost[j - k] over the
+    # slope set ks, taken in its tie order, within the levels 0..top; the
+    # value at level m and the rises in cell order
     dx, dh = spec.r / n, spec.H / m
-    ks = np.arange(m + 1)
-    c = dx**3 / (dx * dx + (ks * dh) ** 2)
-    prev = ks[:, None] - ks
-    cost = np.full(m + 1, np.inf)
+    slope = ks * (dh / dx)
+    c = dx / (1.0 + slope * slope)
+    levels = np.arange(top + 1)
+    prev = levels[:, None] - ks
+    valid = (prev >= 0) & (prev <= top)
+    prev = np.where(valid, prev, 0)
+    cost = np.full(top + 1, np.inf)
     cost[0] = 0.0
     choices = []
     for _ in range(n):
-        total = np.where(prev >= 0, c + cost[prev], np.inf)
-        choices.append(np.argmin(total, axis=1))
-        cost = total[ks, choices[-1]]
-    rises, j = {}, m
-    for arg in reversed(choices):
-        k = int(arg[j])
-        rises[k] = rises.get(k, 0) + 1
-        j -= k
-    return float(cost[m]), rises
+        total = np.where(valid, c + cost[prev], np.inf)
+        arg = np.argmin(total, axis=1)
+        choices.append(ks[arg])
+        cost = total[levels, arg]
+    rises, j = [], m
+    for choice in reversed(choices):
+        rises.append(int(choice[j]))
+        j -= rises[-1]
+    assert j == 0
+    return float(cost[m]), rises[::-1]
+
+
+def _cell_rises(profile, spec, n, m):
+    # the rise of every cell, in cell order, read back from the merged profile
+    rises = []
+    for (x0, y0), (x1, y1) in zip(profile.breakpoints, profile.breakpoints[1:]):
+        cells = round((x1 - x0) * n / spec.r)
+        rises += [round((y1 - y0) * m / spec.H) // cells] * cells
+    return rises
+
+
+def _rise_histogram(profile, spec, n, m):
+    # {k: cells rising k levels}
+    return Counter(_cell_rises(profile, spec, n, m))
 
 
 def _relaxation_bound(spec, n, m):
@@ -264,10 +312,37 @@ def _relaxation_bound(spec, n, m):
 def test_dp_restricted_squaring_matches_gather_reference(n, m, r, h_over_r):
     spec = ProblemSpec(r=r, H=h_over_r * r)
     value, profile = dp_min_resistance(spec, DpConfig(n, m))
-    ref_value, ref_rises = _gather_reference(spec, n, m)
-    assert _rise_histogram(profile, spec, n, m) == ref_rises
+    ref_value, ref_rises = _gather_reference(spec, n, m, np.arange(m + 1), m)
+    assert _rise_histogram(profile, spec, n, m) == Counter(ref_rises)
     assert abs(value - ref_value) <= _tree_sum_bound(n, ref_value)
     assert value >= r * _relaxation_bound(spec, n, m) - n * EPS * r
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 40),
+    st.integers(2, 40),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 3.0),
+    st.integers(1, 8),
+    st.floats(1.0, 1.9),
+)
+def test_dp_bounded_matches_gather_reference_bit_exactly(n, m, r, h_over_r, k, stretch):
+    # B puts the largest rise k_max between k and 1.9 k, so |K| and the level
+    # band stay small; the cell-by-cell reference sums in the same order, so
+    # value and rises must be equal, not close
+    spec = ProblemSpec(r=r, H=h_over_r * r, variant=Variant.UNRESTRICTED)
+    config = DpConfig(n, m, k * stretch * (spec.H / m) / (spec.r / n))
+    try:
+        k_max, top, _ = _grid_extent(spec, config)
+    except ValueError as exc:
+        assert "infeasible" in str(exc)
+        return
+    ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+    value, profile = dp_min_resistance(spec, config)
+    ref_value, ref_rises = _gather_reference(spec, n, m, ks, top)
+    assert value == ref_value
+    assert _cell_rises(profile, spec, n, m) == ref_rises
 
 
 def test_perturbation_config_validation():
@@ -287,6 +362,10 @@ def test_perturbation_config_validation():
         ({"trials": 2.5}, "trials and mesh must be ints, got float"),
         ({"trials": True}, "trials and mesh must be ints, got bool"),
         ({"mesh": 16.0}, "trials and mesh must be ints, got float"),
+        ({"rng_seed": -1}, "rng_seed must be a non-negative int, got -1"),
+        ({"rng_seed": True}, "rng_seed must be a non-negative int, got True"),
+        ({"rng_seed": 1.0}, "rng_seed must be a non-negative int, got 1.0"),
+        ({"rng_seed": None}, "rng_seed must be a non-negative int, got None"),
     ],
 )
 def test_perturbation_config_rejects_non_finite_and_non_int(kwargs, message):
