@@ -19,6 +19,7 @@ from .geometry import (
     Profile,
     ProblemSpec,
     Variant,
+    check_seed,
     make_triangle,
     profile_from_dict,
     validate,
@@ -220,6 +221,7 @@ def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list
     from . import montecarlo
 
     montecarlo.check_sample_count(args.samples)
+    check_seed(args.seed)
 
     def run() -> list[dict]:
         report = extremal.solve(spec)

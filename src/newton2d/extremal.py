@@ -19,6 +19,7 @@ from .geometry import (
     ProblemSpec,
     StaircaseParams,
     Variant,
+    check_seed,
     make_staircase,
     make_triangle,
     profile_to_dict,
@@ -363,6 +364,7 @@ def enumerate_minimizers(
     Rise widths are positive and sum to H; flat widths are nonnegative and
     sum to r - H (Dirichlet stick-breaking over each budget).  Every member
     evaluates to r - H/2 and passes the certificate check at lambda = 1/2.
+    rng_seed must pass geometry.check_seed.
     """
     if spec.variant is not Variant.RESTRICTED:
         raise ValueError("the minimizing staircase family is a restricted-variant object")
@@ -370,6 +372,7 @@ def enumerate_minimizers(
         raise ValueError("the staircase family is empty for H > r")
     if n < 1 or count < 1:
         raise ValueError("n and count must be positive")
+    check_seed(rng_seed)
     import numpy as np
 
     rng = np.random.default_rng(rng_seed)

@@ -46,6 +46,17 @@ class ProblemSpec:
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
 
 
+def check_seed(rng_seed: int) -> None:
+    """Reject a random seed that is not a non-negative Python int.
+
+    Every seeded routine applies this one rule.  bool, float and None are
+    refused: None would draw a fresh, irreproducible stream, and numpy
+    refuses a negative seed with a message that does not name it.
+    """
+    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int) or rng_seed < 0:
+        raise ValueError(f"rng_seed must be a non-negative int, got {rng_seed!r}")
+
+
 @dataclass(frozen=True)
 class Profile:
     """Piecewise-linear contour given by its breakpoints.

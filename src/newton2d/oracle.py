@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Profile, ProblemSpec, Variant
+from .geometry import Profile, ProblemSpec, Variant, check_seed
 
 #: Most elements dp_min_resistance lets one of its tables hold: the sums of
 #: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
@@ -76,9 +76,10 @@ class DpConfig:
 class PerturbationConfig:
     """Scale, trial count, seed and mesh size for perturbation tests.
 
-    epsilon must be finite and positive; trials (>= 1), mesh (>= 2) and
-    rng_seed (>= 0) must be Python ints, not bool, so that a bad value is
-    refused when the config is built, before any oracle runs.
+    epsilon must be finite and positive; trials (>= 1) and mesh (>= 2) must
+    be Python ints, not bool, and rng_seed passes geometry.check_seed, so
+    that a bad value is refused when the config is built, before any oracle
+    runs.
     """
 
     epsilon: float
@@ -98,14 +99,7 @@ class PerturbationConfig:
             raise ValueError("trials must be >= 1")
         if self.mesh < 2:
             raise ValueError("mesh must be >= 2")
-        if (
-            isinstance(self.rng_seed, bool)
-            or not isinstance(self.rng_seed, int)
-            or self.rng_seed < 0
-        ):
-            raise ValueError(
-                f"rng_seed must be a non-negative int, got {self.rng_seed!r}"
-            )
+        check_seed(self.rng_seed)
 
 
 @dataclass(frozen=True)

@@ -596,3 +596,17 @@ def test_unrepresentable_inputs_are_usage_errors(argv, message):
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("seed", ["-1", "-7"])
+def test_verify_mc_rejects_a_negative_seed_in_a_fresh_interpreter(seed):
+    # numpy would refuse it too, but only once the oracle runs, and with a
+    # message that names no flag
+    proc = _run_python(
+        "-m", "newton2d.cli", "verify", "--r", "1", "--H", "0.4",
+        "--variant", "restricted", "--oracle", "mc", "--seed", seed,
+    )
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: rng_seed must be a non-negative int, got {seed}\n"
+

@@ -366,3 +366,9 @@ def test_gradient_check_rejects_boundary_points():
     params = StaircaseParams(n=1, xi=(0.0, 0.0, 0.4, 1.0), mu=(0.0, 0.4))
     with pytest.raises(ValueError, match="boundary"):
         staircase_gradient_check(params, spec)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 2.0, None])
+def test_enumerate_minimizers_rejects_bad_seeds(seed):
+    with pytest.raises(ValueError, match="rng_seed must be a non-negative int"):
+        enumerate_minimizers(ProblemSpec(r=1.0, H=0.4), n=2, count=1, rng_seed=seed)

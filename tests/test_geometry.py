@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from newton2d.geometry import (
     Profile,
     StaircaseParams,
     Variant,
+    check_seed,
     make_counterexample,
     make_staircase,
     make_triangle,
@@ -241,3 +243,14 @@ def test_profile_json_round_trip_is_exact():
 def test_profile_from_dict_rejects_malformed_data():
     with pytest.raises(ValueError, match="malformed"):
         profile_from_dict({"r": 1.0})
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**70])
+def test_check_seed_accepts_non_negative_ints(seed):
+    check_seed(seed)
+
+
+@pytest.mark.parametrize("seed", [-1, True, False, 1.0, None, "3", np.int64(3)])
+def test_check_seed_names_the_seed_it_refuses(seed):
+    with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative int, got {seed!r}")):
+        check_seed(seed)

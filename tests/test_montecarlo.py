@@ -297,3 +297,149 @@ def test_estimate_caps_the_sample_count_before_allocating():
         tracemalloc.stop()
     assert MAX_SAMPLES == 2**25
     assert peak < 2**16
+
+
+EPS = np.finfo(float).eps
+
+
+def _per_sample_reference(profile: Profile, n_samples: int, rng_seed: int):
+    # the estimator as it was, one impulse per sample: each draw's segment
+    # index, then the mean and standard deviation of the gathered impulses
+    x0, x1 = profile.xs[0], profile.xs[-1]
+    xs = np.random.default_rng(rng_seed).uniform(x0, x1, n_samples)
+    n_seg = len(profile.slopes)
+    idx = np.clip(np.searchsorted(np.array(profile.xs), xs, side="right") - 1, 0, n_seg - 1)
+    g = ((reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0)[idx]
+    width = x1 - x0
+    return (
+        np.bincount(idx, minlength=n_seg),
+        width * float(np.mean(g)),
+        width * float(np.std(g, ddof=1)) / math.sqrt(n_samples),
+    )
+
+
+def _summation_bound(n_seg: int, n_samples: int) -> float:
+    # relative: (S + 2) eps for the count-weighted sum (its docstring), and
+    # (log2 n + 16) eps for numpy's pairwise sum of the n reference impulses
+    return (n_seg + 2 + math.log2(n_samples) + 16) * EPS
+
+
+def _random_profile(rng, n_seg: int) -> Profile:
+    widths = rng.uniform(0.05, 1.0, n_seg)
+    xs = np.cumsum(np.r_[0.0, widths])
+    ys = np.cumsum(np.r_[0.0, widths * rng.uniform(-3.0, 3.0, n_seg)])
+    return Profile(tuple(zip(xs.tolist(), ys.tolist())))
+
+
+def _breakpoints_on_draws(n_samples: int, rng_seed: int, k: int) -> Profile:
+    # interior breakpoints placed exactly on k of the draws, so the
+    # right-segment rule at a breakpoint is exercised
+    draws = np.random.default_rng(rng_seed).uniform(0.0, 1.0, n_samples)
+    inner = np.unique(draws[:: n_samples // k])[:k]
+    xs = np.r_[0.0, inner, 1.0]
+    ys = np.cumsum(np.r_[0.0, np.diff(xs) * np.linspace(0.0, 2.0, xs.size - 1)])
+    return Profile(tuple(zip(xs.tolist(), ys.tolist())))
+
+
+def _staircase_200() -> Profile:
+    rng = np.random.default_rng(200)
+    widths = rng.uniform(0.5, 1.0, 200)
+    xs = np.cumsum(np.r_[0.0, widths])
+    ys = np.cumsum(np.r_[0.0, widths * np.tile([0.0, 1.0], 100)])
+    return Profile(tuple(zip(xs.tolist(), ys.tolist())))
+
+
+@pytest.mark.parametrize(
+    "profile, n_samples, rng_seed",
+    [(_random_profile(np.random.default_rng(s), 1 + 3 * s), 40_000 + s, s) for s in range(6)]
+    + [
+        (_breakpoints_on_draws(50_000, 11, 9), 50_000, 11),
+        (_staircase_200(), 300_001, 4),
+        (make_triangle(ProblemSpec(r=1.0, H=0.3)), 1000, 0),
+    ],
+)
+def test_counts_and_estimate_match_the_per_sample_reference(profile, n_samples, rng_seed):
+    counts, mean, std_error = _per_sample_reference(profile, n_samples, rng_seed)
+    got = montecarlo.segment_counts(profile, n_samples, rng_seed)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, counts)
+    est = estimate_resistance(profile, n_samples, rng_seed)
+    bound = _summation_bound(len(profile.slopes), n_samples)
+    assert abs(est.estimate - mean) <= bound * mean
+    # the deviations g - mean inherit the mean's rounding, bound * mean
+    assert est.std_error == pytest.approx(std_error, rel=bound, abs=bound * mean)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**10])
+def test_estimate_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
+    # 5003 is a multiple of none of the chunks, so every run ends short
+    profile = _random_profile(np.random.default_rng(3), 9)
+    n_samples = 5003
+    expected = estimate_resistance(profile, n_samples, 8)
+    counts = montecarlo.segment_counts(profile, n_samples, 8)
+    monkeypatch.setattr(montecarlo, "MC_CHUNK", chunk)
+    assert np.array_equal(montecarlo.segment_counts(profile, n_samples, 8), counts)
+    assert estimate_resistance(profile, n_samples, 8) == expected
+
+
+def test_estimate_memory_is_bounded_by_the_chunk():
+    # 2^22 samples held at once would take 32 MiB; a chunk is 256 KiB
+    profile = _staircase_200()
+    tracemalloc.start()
+    try:
+        estimate_resistance(profile, 2**22, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * montecarlo.MC_CHUNK < 8 * 2**22
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, None, "1"])
+def test_estimate_rejects_bad_seeds(seed):
+    profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
+    with pytest.raises(ValueError, match="rng_seed must be a non-negative int"):
+        estimate_resistance(profile, 1000, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+def test_reflect_preserves_the_norm_for_any_finite_slope(theta, slope):
+    v = (math.cos(theta), math.sin(theta))
+    out = reflect(v, slope)
+    assert np.all(np.isfinite(out))
+    assert abs(math.hypot(out[0], out[1]) - math.hypot(*v)) <= 4 * EPS
+
+
+@st.composite
+def _dyadic_contours_with_a_split(draw):
+    # widths k/16 and slopes j/4 keep every breakpoint exact, so splitting
+    # segment i at x0 + m/256 gives two pieces of exactly its slope
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    slopes = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    pts = [(0.0, 0.0)]
+    for w, u in zip(widths, slopes):
+        pts.append((pts[-1][0] + w / 16, pts[-1][1] + (w / 16) * (u / 4)))
+    i = draw(st.integers(0, n - 1))
+    m = draw(st.integers(1, 16 * widths[i] - 1))
+    (x0, y0) = pts[i]
+    split = (x0 + m / 256, y0 + (m / 256) * (slopes[i] / 4))
+    return i, Profile(tuple(pts)), Profile(tuple(pts[: i + 1] + [split] + pts[i + 1 :]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_dyadic_contours_with_a_split(), st.integers(0, 2**32 - 1))
+def test_estimate_is_unchanged_by_a_collinear_split(contours, seed):
+    i, whole, split = contours
+    assert split.slopes == whole.slopes[: i + 1] + whole.slopes[i:]
+    a = estimate_resistance(whole, 5000, seed)
+    b = estimate_resistance(split, 5000, seed)
+    # the same draws; the split segment's count is shared by its two pieces,
+    # so the sums differ by rounding alone, and so does the mean that the
+    # standard error's deviations are taken from
+    bound = 2 * (len(split.slopes) + 2) * EPS * a.estimate
+    assert abs(a.estimate - b.estimate) <= bound
+    assert b.std_error == pytest.approx(a.std_error, rel=1e-12, abs=bound)
