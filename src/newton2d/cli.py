@@ -109,13 +109,20 @@ def _problem_spec(args: argparse.Namespace) -> ProblemSpec:
 
 
 def _load_profile(path: str) -> tuple[Profile, ProblemSpec]:
-    """Read a profile JSON file and check that it is admissible for its spec."""
+    """Read a profile JSON file and check that it is admissible for its spec.
+
+    A file that cannot be opened or parsed as JSON "cannot be read"; data
+    that Profile, ProblemSpec or validate refuses is an "invalid profile".
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
-        profile, spec = profile_from_dict(data)
     except (OSError, ValueError) as exc:
         raise _UsageError(f"cannot read profile: {exc}") from exc
+    try:
+        profile, spec = profile_from_dict(data)
+    except ValueError as exc:
+        raise _UsageError(f"invalid profile: {exc}") from exc
     result = validate(profile, spec)
     if not result.ok:
         raise _UsageError("invalid profile: " + "; ".join(result.issues))

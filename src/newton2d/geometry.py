@@ -63,8 +63,10 @@ class Profile:
 
     Breakpoints are finite and their x-coordinates strictly increasing; a
     positive jump in y over zero width would mean an infinite slope and is
-    rejected at construction time.  Instances are immutable, so xs, ys and
-    slopes are computed once per instance and cached; the cache lives in
+    rejected at construction time.  So are a width x_n - x_0 or a slope
+    that overflows, such as a rise of 1e10 over 1e-300: every drag, sample
+    and reflection is computed from them.  Instances are immutable, so xs,
+    ys and slopes are computed once per instance and cached; the cache lives in
     the instance dict, outside the dataclass fields, so equality, hashing
     and repr still see the breakpoints alone.
     """
@@ -85,6 +87,13 @@ class Profile:
                     f"breakpoint x-coordinates must be strictly increasing "
                     f"({x0} -> {x1})"
                 )
+        if not math.isfinite(pts[-1][0] - pts[0][0]):
+            raise ValueError(
+                f"profile width {pts[0][0]} -> {pts[-1][0]} overflows a float"
+            )
+        if not all(map(math.isfinite, self.slopes)):
+            i = next(i for i, u in enumerate(self.slopes) if not math.isfinite(u))
+            raise ValueError(f"segment {i} has non-finite slope {self.slopes[i]}")
 
     @cached_property
     def xs(self) -> tuple[float, ...]:

@@ -1,7 +1,9 @@
 """Deterministic JSON output with fixed floating-point formatting.
 
 Floats are rendered with 17 significant digits so every value round-trips
-exactly and repeated runs produce byte-identical artifacts.
+exactly and repeated runs produce byte-identical artifacts.  Negative zero
+is written -0.0: a JSON reader parses the "-0" of 17-digit formatting as
+the integer 0, which loses the sign.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from typing import Any
 def format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float not representable in JSON: {x}")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
 
 
 def dumps(obj: Any, indent: int = 2) -> str:

@@ -19,9 +19,15 @@ from .geometry import Profile, check_seed
 #: Most samples estimate_resistance draws; see check_sample_count.
 MAX_SAMPLES = 2**25
 
-#: Samples estimate_resistance draws, sorts and counts at a time (256 KiB
-#: of float64).  The result does not depend on it; see estimate_resistance.
+#: Samples estimate_resistance draws and counts at a time, in one reused
+#: 256 KiB float64 buffer.  The result does not depend on it; see
+#: estimate_resistance.
 MC_CHUNK = 2**15
+
+#: Most interior breakpoints segment_counts counts by one pass each over a
+#: chunk; a profile with more has each chunk sorted instead.  Both rules
+#: give the same counts; see estimate_resistance.
+MC_DIRECT_MAX = 16
 
 #: Most (segment, breakpoint) pairs single_collision_check evaluates at once
 #: (one row of S + 1 when S + 1 is larger).  A block keeps about a dozen
@@ -73,13 +79,20 @@ def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
 
     v' = v - 2 (v . n) n with unit normal n = (-u, 1)/sqrt(1+u^2).  slope
     may be a float or an array; the result has shape (2,) + shape(slope),
-    row 0 holding the x components and row 1 the y components.
+    row 0 holding the x components and row 1 the y components.  Where
+    1 + u^2 overflows (|u| above about 1.34e154) the normal is its limit
+    (-sign u, 1/|u|), within 1/(2 u^2) relative of the exact one, below
+    rounding.
     """
     vx, vy = np.asarray(velocity, dtype=float).tolist()
     norm = math.hypot(vx, vy)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"velocity must be a unit vector, |v| = {norm}")
-    den = np.sqrt(1.0 + slope * slope)
+    with np.errstate(over="ignore"):
+        den = np.sqrt(1.0 + slope * slope)
+    # where 1 + u^2 overflows, sqrt(1 + u^2) is |u| far below rounding, and
+    # -u/|u| is -sign u exactly
+    den = np.where(np.isinf(den), np.abs(slope), den)
     nx = -slope / den
     ny = 1.0 / den
     twice_vdotn = 2.0 * (vx * nx + vy * ny)
@@ -105,9 +118,11 @@ def check_sample_count(n_samples: int) -> None:
     n_samples must be a Python int (bool is rejected) with
     2 <= n_samples <= MAX_SAMPLES = 2^25; one sample has no standard error.
     estimate_resistance holds O(MC_CHUNK + S) memory whatever the count, so
-    the cap bounds time, not memory: about 12 ns per sample, 0.4 s at the
-    cap (measured on a 2 vCPU x86-64 with AVX-512, numpy 2.4).  The cap is
-    fixed, not a setting.
+    the cap bounds time, not memory: at the cap, about 3 ns per sample
+    (0.1 s) for a profile of up to MC_DIRECT_MAX + 1 = 17 segments, where
+    drawing costs most, and about 9 ns per sample (0.3 s) for one of more
+    segments, whose chunks are sorted (measured on a 2 vCPU x86-64 with
+    AVX-512, numpy 2.4).  The cap is fixed, not a setting.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, int):
         raise ValueError(f"n_samples must be an int, got {type(n_samples).__name__}")
@@ -131,12 +146,26 @@ def segment_counts(profile: Profile, n_samples: int, rng_seed: int) -> np.ndarra
     rng = np.random.default_rng(rng_seed)
     x0, x1 = profile.xs[0], profile.xs[-1]
     interior = np.array(profile.xs[1:-1])
-    below = np.zeros(interior.size, dtype=np.int64)
+    direct = interior.size <= MC_DIRECT_MAX
+    # below[k]: the draws below breakpoint x_k; none are below x0, and
+    # below[S] = n puts a draw at x1 in the last segment
+    below = np.zeros(interior.size + 2, dtype=np.int64)
+    below[-1] = n_samples
+    inner = below[1:-1]
+    buffer = np.empty(min(MC_CHUNK, n_samples))
     for start in range(0, n_samples, MC_CHUNK):
-        chunk = rng.uniform(x0, x1, min(MC_CHUNK, n_samples - start))
-        chunk.sort()
-        below += np.searchsorted(chunk, interior, side="left")
-    return np.diff(below, prepend=0, append=n_samples)
+        chunk = buffer[: min(MC_CHUNK, n_samples - start)]
+        # Generator.uniform(x0, x1) is x0 + (x1 - x0) * random(), bit for bit
+        rng.random(out=chunk)
+        chunk *= x1 - x0
+        chunk += x0
+        if direct:
+            for k, x in enumerate(interior):
+                inner[k] += np.count_nonzero(chunk < x)
+        else:
+            chunk.sort()
+            inner += np.searchsorted(chunk, interior, side="left")
+    return below[1:] - below[:-1]
 
 
 def estimate_resistance(
@@ -155,11 +184,22 @@ def estimate_resistance(
 
     Counts (segment_counts): the n draws of Generator.uniform(x0, x1, .)
     from default_rng(rng_seed) are taken in chunks of MC_CHUNK, in stream
-    order.  Each chunk is sorted in place, and a binary search for each
-    interior breakpoint x_k adds the draws below x_k to below[k]; then
-    c = diff(below, prepend=0, append=n).  That is O(S log MC_CHUNK) per
-    chunk for S segments.  The counts are exact integers, so the result is
-    the same for every chunk size, and a fixed seed gives the same bits.
+    order, into one reused buffer: Generator.random fills it and it is
+    scaled in place by x0 + (x1 - x0) * draw, the very doubles uniform
+    returns.  below[k] counts the draws strictly below the interior
+    breakpoint x_k, by one of two rules that give the same integers:
+    - at most MC_DIRECT_MAX = 16 interior breakpoints: one comparison pass
+      over the chunk per breakpoint, O(S MC_CHUNK) per chunk;
+    - more: the chunk is sorted in place and a binary search finds each
+      x_k, O(MC_CHUNK log MC_CHUNK + S log MC_CHUNK) per chunk.
+    Then c_k = below[k + 1] - below[k], with below[0] = 0 and
+    below[S] = n for the ends x0 and x1.  Timed over whole calls of
+    10^6 draws (2 vCPU x86-64, numpy 2.4), at 1 / 15 / 31 interior
+    breakpoints the direct rule took 3.4 / 6.2 / 9.0 ms and the sorting
+    rule 8.5 ms at each: a comparison pass costs about 0.2 ms, so the
+    cut-over at 16 stays below the crossover near 29.  The counts are
+    exact integers, so the result is the same for every chunk size and
+    either rule, and a fixed seed gives the same bits.
 
     Estimate and error: mean = sum_k c_k g_k / n, estimate =
     (x1 - x0) mean and std_error = (x1 - x0) sqrt(v / n) with
@@ -170,9 +210,11 @@ def estimate_resistance(
     impulses instead gives the same values within that bound and its own
     rounding, about (log2 n + 16) eps for numpy's pairwise sum.
 
-    Memory is O(MC_CHUNK + S): one chunk of float64 draws and a few
-    S-element arrays, whatever n is.  n_samples is checked by
-    check_sample_count and rng_seed by check_seed before anything is drawn.
+    Memory is O(MC_CHUNK + S): one chunk of float64 draws, a chunk-sized
+    comparison mask and a few S-element arrays, whatever n is.  n_samples
+    is checked by check_sample_count and rng_seed by check_seed before
+    anything is drawn; Profile already refuses a width x1 - x0 that
+    overflows, which would turn the in-place scaling into inf or nan draws.
     """
     counts = segment_counts(profile, n_samples, rng_seed).astype(float)
     # half the axial impulse of a particle reflected by each segment

@@ -433,6 +433,32 @@ def test_export_svg_rejects_invalid_profile(tmp_path, capsys):
     assert not out_path.exists()
 
 
+_OVERFLOWING_PROFILES = [
+    # finite breakpoints whose slope or whole width overflows
+    ({"r": 1.0, "H": 1e10, "breakpoints": [[0.0, 0.0], [1e-300, 1e10], [1.0, 1e10]]}, "slope"),
+    ({"r": 1e308, "H": 1.0, "breakpoints": [[-1e308, 0.0], [1e308, 1.0]]}, "width"),
+]
+
+
+@pytest.mark.parametrize("data, message", _OVERFLOWING_PROFILES)
+def test_eval_and_export_svg_refuse_an_overflowing_profile(tmp_path, data, message):
+    # eval used to accept the first profile and print a drag that priced
+    # its infinite slope as zero
+    path = tmp_path / "overflow.json"
+    path.write_text(jsonio.dumps({**data, "variant": "unrestricted"}))
+    out_path = tmp_path / "x.svg"
+    for argv in (
+        ["eval", "--profile", str(path)],
+        ["export-svg", "--profile", str(path), "--out", str(out_path)],
+    ):
+        proc = _run_python("-m", "newton2d.cli", *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: invalid profile: ")
+        assert message in proc.stderr and len(proc.stderr.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, newton2d.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr

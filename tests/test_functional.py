@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2d.functional import (
     branch_resistance_final_flat,
@@ -169,3 +173,39 @@ def test_difference_vanishes_at_xi_equal_r():
     spec = ProblemSpec(r=1.3, H=0.7)
     assert resistance_difference(spec.r, spec) == pytest.approx(0.0, abs=1e-15)
     assert resistance_difference_closed_form(spec.r, spec) == 0.0
+
+
+EPS = np.finfo(float).eps
+
+
+@st.composite
+def _dyadic_contours_with_a_split(draw):
+    # widths k/16 and slopes j/4, scaled by 2^e, keep every breakpoint exact,
+    # so splitting segment i at m/256 of the way gives two pieces of exactly
+    # its slope
+    n = draw(st.integers(1, 40))
+    widths = draw(st.lists(st.integers(1, 16), min_size=n, max_size=n))
+    slopes = draw(st.lists(st.integers(-12, 12), min_size=n, max_size=n))
+    scale = math.ldexp(1.0, draw(st.integers(-60, 60)))
+    pts = [(0.0, 0.0)]
+    for w, u in zip(widths, slopes):
+        pts.append((pts[-1][0] + scale * w / 16, pts[-1][1] + scale * (w / 16) * (u / 4)))
+    i = draw(st.integers(0, n - 1))
+    m = draw(st.integers(1, 16 * widths[i] - 1))
+    x0, y0 = pts[i]
+    split = (x0 + scale * m / 256, y0 + scale * (m / 256) * (slopes[i] / 4))
+    return Profile(tuple(pts)), Profile(tuple(pts[: i + 1] + [split] + pts[i + 1 :]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_contours_with_a_split())
+def test_resistance_2d_is_unchanged_by_subdividing_a_segment(contours):
+    # both sums price the same slopes, so they share their exact value T;
+    # each term is one rounded division and the running sum of S or S + 1
+    # non-negative terms adds at most (S - 1) or S half-ulps, so the two
+    # differ by at most (S + 1/2) eps T, within (S + 1) eps of either
+    whole, split = contours
+    n_seg = len(whole.slopes)
+    assert len(split.slopes) == n_seg + 1
+    a, b = resistance_2d(whole), resistance_2d(split)
+    assert abs(a - b) <= (n_seg + 1) * EPS * a

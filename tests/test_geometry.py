@@ -1,8 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newton2d import jsonio
 from newton2d.geometry import (
@@ -193,6 +196,29 @@ def test_profile_rejects_non_finite_breakpoints():
         Profile(((0.0, 0.0), (1.0, float("inf"))))
 
 
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        # slope 1e310: finite breakpoints, an infinite slope
+        (((0.0, 0.0), (1e-300, 1e10), (1.0, 1e10)), "segment 0 has non-finite slope inf"),
+        (((0.0, -1e308), (1.0, 1e308)), "segment 0 has non-finite slope inf"),
+        (((0.0, 0.0), (1.0, 1.0), (2.0, -1.7e308), (3.0, 1.7e308)), "segment 2"),
+        # every segment is finite, the whole width is not
+        (((-1e308, 0.0), (1e308, 1.0)), "width"),
+        (((-1e308, 0.0), (0.0, 0.0), (1e308, 1.0)), "width"),
+    ],
+)
+def test_profile_rejects_an_overflowing_slope_or_width(points, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Profile(points)
+
+
+def test_profile_accepts_the_largest_finite_width_and_slopes():
+    profile = Profile(((-8e307, 0.0), (8e307, 1e300)))
+    assert profile.slopes == (1e300 / 1.6e308,)
+    assert Profile(((0.0, 0.0), (1e-300, 1e8))).slopes == (1e308,)
+
+
 def _random_staircase_params(rng, r, H):
     n = int(rng.integers(1, 5))
     rises = rng.dirichlet(np.ones(n)) * H
@@ -238,6 +264,46 @@ def test_profile_json_round_trip_is_exact():
         assert parsed_profile.breakpoints == profile.breakpoints
         assert (parsed_spec.r, parsed_spec.H) == (spec.r, spec.H)
         assert parsed_spec.variant is spec.variant
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@st.composite
+def _profiles_and_specs(draw):
+    # |x| <= 8e307 keeps the width finite; a slope that overflows falls
+    # back to a flat contour at height -0.0
+    xs = draw(st.lists(st.floats(-8e307, 8e307), min_size=2, max_size=12, unique=True))
+    xs.sort()
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    ys = draw(st.lists(finite, min_size=len(xs), max_size=len(xs)))
+    try:
+        profile = Profile(tuple(zip(xs, ys)))
+    except ValueError:
+        profile = Profile(tuple((x, -0.0) for x in xs))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    spec = ProblemSpec(r=draw(positive), H=draw(positive), variant=draw(st.sampled_from(Variant)))
+    return profile, spec
+
+
+@settings(max_examples=300, deadline=None)
+@given(_profiles_and_specs())
+def test_profile_json_round_trip_is_bit_exact(case):
+    # any finite breakpoints, -0.0 and subnormals included, and any spec
+    profile, spec = case
+    text = jsonio.dumps(profile_to_dict(profile, spec))
+    back, back_spec = profile_from_dict(json.loads(text))
+    for (x, y), (bx, by) in zip(profile.breakpoints, back.breakpoints, strict=True):
+        assert _bits((bx, by)) == _bits((x, y))
+    assert _bits((back_spec.r, back_spec.H)) == _bits((spec.r, spec.H))
+    assert back_spec.variant is spec.variant
+
+
+def test_negative_zero_survives_the_json_round_trip():
+    # 17-digit formatting writes -0.0 as "-0", which json reads as the int 0
+    assert jsonio.dumps([-0.0, 0.0]) == "[\n  -0.0,\n  0\n]\n"
+    assert math.copysign(1.0, json.loads(jsonio.dumps(-0.0))) == -1.0
 
 
 def test_profile_from_dict_rejects_malformed_data():

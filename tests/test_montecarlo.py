@@ -443,3 +443,131 @@ def test_estimate_is_unchanged_by_a_collinear_split(contours, seed):
     bound = 2 * (len(split.slopes) + 2) * EPS * a.estimate
     assert abs(a.estimate - b.estimate) <= bound
     assert b.std_error == pytest.approx(a.std_error, rel=1e-12, abs=bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
+    st.integers(0, 2**32 - 1),
+)
+def test_uniform_draws_are_random_draws_scaled_in_place(ends, seed):
+    # segment_counts scales Generator.random in place instead of calling
+    # Generator.uniform; the doubles must be the same bit for bit
+    x0, x1 = sorted(ends)
+    expected = np.random.default_rng(seed).uniform(x0, x1, 257)
+    got = np.empty(257)
+    np.random.default_rng(seed).random(out=got)
+    got *= x1 - x0
+    got += x0
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@st.composite
+def _profiles_with_breakpoints_on_draws(draw):
+    # 1 to 40 segments; some interior breakpoints sit exactly on draws of
+    # the seed's stream, the rest anywhere inside (0, 1)
+    n_seg = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    n_samples = draw(st.integers(2, 3000))
+    draws = np.random.default_rng(seed).uniform(0.0, 1.0, n_samples)
+    on_draws = draw(st.lists(st.sampled_from(draws.tolist()), max_size=n_seg - 1))
+    free = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=n_seg - 1))
+    inner = sorted(set(on_draws + free))[: n_seg - 1]
+    xs = [0.0] + inner + [1.0]
+    slopes = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ys = np.cumsum(np.r_[0.0, np.diff(xs) * np.array(slopes)])
+    return Profile(tuple(zip(xs, ys.tolist()))), n_samples, seed
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profiles_with_breakpoints_on_draws(), st.sampled_from([1, 64, 2**15]))
+def test_both_counting_rules_give_the_same_counts(case, chunk):
+    # the direct rule counts each chunk against every breakpoint, the other
+    # sorts it and searches; both count the draws strictly below x_k
+    profile, n_samples, seed = case
+    results = []
+    for direct_max in (10**6, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(montecarlo, "MC_CHUNK", chunk)
+            mp.setattr(montecarlo, "MC_DIRECT_MAX", direct_max)
+            counts = montecarlo.segment_counts(profile, n_samples, seed)
+            results.append((counts, estimate_resistance(profile, n_samples, seed)))
+    (direct, est_direct), (sorted_, est_sorted) = results
+    assert direct.dtype == sorted_.dtype == np.int64
+    assert np.array_equal(direct, sorted_)
+    assert direct.sum() == n_samples
+    assert est_direct == est_sorted
+
+
+def test_estimate_memory_is_bounded_by_the_chunk_on_the_direct_rule():
+    # two segments are counted by one comparison pass per chunk, no sort
+    profile = Profile(((0.0, 0.0), (0.6, 0.0), (1.0, 0.4)))
+    assert montecarlo.MC_DIRECT_MAX >= 1
+    tracemalloc.start()
+    try:
+        estimate_resistance(profile, 2**22, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * montecarlo.MC_CHUNK < 8 * 2**22
+
+
+def test_an_overflowing_width_is_refused_before_any_draw(monkeypatch):
+    # the in-place scaling x0 + (x1 - x0) * draw would give inf or nan for
+    # every draw where Generator.uniform raised; Profile refuses the width
+    def no_stream(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(montecarlo.np.random, "default_rng", no_stream)
+    with pytest.raises(ValueError, match="width"):
+        estimate_resistance(Profile(((-1e308, 0.0), (1e308, 1.0))), 1000, 0)
+    with pytest.raises(ValueError, match="width"):
+        montecarlo.segment_counts(Profile(((-1e308, 0.0), (0.0, 0.0), (1e308, 1.0))), 1000, 0)
+
+
+def _reflect_as_before(v, slope):
+    # reflect's arithmetic wherever 1 + u^2 is finite
+    den = np.sqrt(1.0 + slope * slope)
+    nx, ny = -slope / den, 1.0 / den
+    twice_vdotn = 2.0 * (v[0] * nx + v[1] * ny)
+    return np.array([v[0] - twice_vdotn * nx, v[1] - twice_vdotn * ny])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), st.floats(-1.3e154, 1.3e154))
+def test_reflect_keeps_its_bits_where_one_plus_u_squared_is_finite(theta, slope):
+    v = (math.cos(theta), math.sin(theta))
+    expected = _reflect_as_before(v, slope)
+    assert np.array_equal(reflect(v, slope), expected)
+    twice = reflect(v, np.array([slope, -slope]))
+    assert np.array_equal(twice[:, 0], expected)
+    assert np.array_equal(twice[:, 1], _reflect_as_before(v, -slope))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(1e8, 1.7e308),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_reflect_off_a_steep_face_mirrors_the_horizontal_component(theta, size, sign):
+    # the normal is within |dn| <= 1/|u| + 1/(2 u^2) of (-sign u, 0), and
+    # v' = v - 2 (v . n) n moves by at most 2 (2 |dn| + |dn|^2) <= 4.01/|u|
+    # with it; the arithmetic adds a few eps
+    v = (math.cos(theta), math.sin(theta))
+    out = reflect(v, sign * size)
+    limit = np.array([-v[0], v[1]])
+    assert np.max(np.abs(out - limit)) <= 4.01 / size + 8 * EPS
+
+
+def test_reflect_past_the_overflow_of_one_plus_u_squared():
+    # sqrt(1 + u^2) is inf beyond about 1.34e154; the velocity used to come
+    # back unchanged there
+    h = math.sqrt(0.5)
+    for u in (1e154, 1e155, 1e300, -1e155):
+        out = reflect((h, -h), u)
+        assert out.tolist() == pytest.approx([-h, -h], abs=1e-15)
+    slopes = np.array([0.0, 1e155, -1e300])
+    assert np.array_equal(
+        reflect((h, -h), slopes), np.stack([reflect((h, -h), u) for u in slopes], axis=1)
+    )
