@@ -9,6 +9,7 @@ the solver below exploit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +34,13 @@ LAMBDA_MAX = 3.0 * math.sqrt(3.0) / 8.0
 
 #: Width of the inflection band around SLOPE_THRESHOLD in classify_stationary.
 CLASSIFY_TOL = 1e-9
+
+#: Most multipliers whose stationary slopes stay memoized (a few KiB).
+SLOPES_CACHE_SIZE = 256
+
+#: Most breakpoint values enumerate_minimizers produces in one call,
+#: count * (2n + 1); a larger family is refused before anything is drawn.
+MAX_FAMILY_ELEMENTS = 2**20
 
 
 class Classification(Enum):
@@ -93,6 +101,12 @@ def _branch_root(half: float, lo: float, hi: float) -> float:
             hi = mid
 
 
+def _check_multiplier(lam: float) -> None:
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam}")
+
+
+@functools.lru_cache(maxsize=SLOPES_CACHE_SIZE)
 def stationary_slopes(lam: float) -> tuple[float, ...]:
     """Nonnegative slopes solving the first-order condition u/(1+u^2)^2 = lam/2.
 
@@ -107,10 +121,16 @@ def stationary_slopes(lam: float) -> tuple[float, ...]:
     Both roots are returned for every positive double lam up to the peak,
     subnormal lam included.  At the smallest one, lam = 5e-324, lam/2
     underflows to 0.0, so the low root is 0.0 and the high root is where g
-    underflows (about 7.4e107).
+    underflows (about 7.4e107).  A lam that is not positive and finite
+    raises ValueError.
+
+    The roots are a pure function of lam, so they are memoized in an
+    LRU cache of SLOPES_CACHE_SIZE = 256 multipliers (a fixed size, not a
+    setting): a repeated lam, such as the 1/2 that certifies every member
+    of the staircase family, costs one bisection per process.  A refused
+    lam raises before anything is stored, so it raises on every call.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_multiplier(lam)
     half = lam / 2.0
     peak = _slope_response(SLOPE_THRESHOLD)
     if half > peak * (1.0 + 1e-13):
@@ -126,10 +146,20 @@ def stationary_slopes(lam: float) -> tuple[float, ...]:
 
 
 def lambda_for_slope(s: float) -> float:
-    """Multiplier making s a stationary slope: lam = 2s/(1+s^2)^2."""
-    if s <= 0.0:
-        raise ValueError(f"slope must be positive, got {s}")
-    return 2.0 * s / (1.0 + s * s) ** 2
+    """Multiplier making s a stationary slope: lam = 2s/(1+s^2)^2.
+
+    s must be positive and finite, and (1+s^2)^2 must be a finite double
+    (s below about 1.16e77); otherwise ValueError names s.
+    """
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"slope must be positive and finite, got {s}")
+    try:
+        denom = (1.0 + s * s) ** 2
+    except OverflowError:
+        denom = math.inf
+    if denom == math.inf:
+        raise ValueError(f"slope {s} is too steep for a multiplier: (1 + s^2)^2 overflows")
+    return 2.0 * s / denom
 
 
 def classify_stationary(u: float) -> Classification:
@@ -207,10 +237,9 @@ def check_certificate(
 
     A passing report for a restricted-variant profile certifies a
     Pontryagin extremal, hence a global minimizer within the admissible
-    class.
+    class.  A lam that is not positive and finite raises ValueError.
     """
-    if lam <= 0.0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    _check_multiplier(lam)
     h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
     values = tuple(hamiltonian(u, lam) for u in profile.slopes)
     worst = max(h_max - v for v in values)
@@ -362,9 +391,19 @@ def enumerate_minimizers(
     """Seeded random members of the slope-{0,1} minimizing staircase family.
 
     Rise widths are positive and sum to H; flat widths are nonnegative and
-    sum to r - H (Dirichlet stick-breaking over each budget).  Every member
-    evaluates to r - H/2 and passes the certificate check at lambda = 1/2.
-    rng_seed must pass geometry.check_seed.
+    sum to r - H, each a uniform point of its simplex: a member draws
+    Dirichlet(1, ..., 1) weights for its n rises (none when n = 1) and then
+    for its n + 1 flats (none when H = r).  Every member evaluates to
+    r - H/2 and passes the certificate check at lambda = 1/2.  rng_seed
+    must pass geometry.check_seed.
+
+    numpy's Dirichlet(1, ..., 1) draws one standard exponential per weight
+    (a Gamma(1) variate is one), sums them left to right and scales each
+    by the reciprocal of the sum.  So the whole family comes from one
+    standard_exponential block of count rows, normalized with the same
+    sequential sum, and matches the per-member rng.dirichlet stream bit
+    for bit.  A family of more than MAX_FAMILY_ELEMENTS = 2^20 values,
+    count * (2n + 1), is refused before anything is drawn.
     """
     if spec.variant is not Variant.RESTRICTED:
         raise ValueError("the minimizing staircase family is a restricted-variant object")
@@ -372,34 +411,43 @@ def enumerate_minimizers(
         raise ValueError("the staircase family is empty for H > r")
     if n < 1 or count < 1:
         raise ValueError("n and count must be positive")
+    if count * (2 * n + 1) > MAX_FAMILY_ELEMENTS:
+        raise ValueError(
+            f"family too large: count * (2n + 1) = {count * (2 * n + 1)} values, "
+            f"above the cap of {MAX_FAMILY_ELEMENTS}"
+        )
     check_seed(rng_seed)
     import numpy as np
 
     rng = np.random.default_rng(rng_seed)
     flat_budget = spec.r - spec.H
-    members: list[StaircaseParams] = []
-    for _ in range(count):
-        rises = rng.dirichlet(np.ones(n)) * spec.H if n > 1 else np.array([spec.H])
-        if flat_budget > 0.0:
-            flats = rng.dirichlet(np.ones(n + 1)) * flat_budget
-        else:
-            flats = np.zeros(n + 1)
-        xi = [0.0]
-        mu = [0.0]
-        x = 0.0
-        y = 0.0
-        for i in range(n):
-            x += float(flats[i])
-            xi.append(x)
-            x += float(rises[i])
-            xi.append(x)
-            y += float(rises[i])
-            mu.append(y)
-        xi.append(spec.r)
-        xi[2 * n] = min(xi[2 * n], spec.r)
-        mu[n] = spec.H
-        members.append(StaircaseParams(n=n, xi=tuple(xi), mu=tuple(mu)))
-    return members
+    k_rise = n if n > 1 else 0
+    k_flat = n + 1 if flat_budget > 0.0 else 0
+    draws = rng.standard_exponential((count, k_rise + k_flat))
+
+    def weights(block: np.ndarray, budget: float) -> np.ndarray:
+        # cumsum adds left to right, as dirichlet's own sum does
+        return block * (1.0 / np.cumsum(block, axis=1)[:, -1:]) * budget
+
+    # widths alternate flat, rise, ...; the last flat only closes the gap to r
+    widths = np.zeros((count, 2 * n))
+    if k_rise:
+        widths[:, 1::2] = weights(draws[:, :k_rise], spec.H)
+    else:
+        widths[:, 1] = spec.H
+    if k_flat:
+        widths[:, 0::2] = weights(draws[:, k_rise:], flat_budget)[:, :n]
+    xi = np.zeros((count, 2 * n + 2))
+    np.cumsum(widths, axis=1, out=xi[:, 1:-1])
+    np.minimum(xi[:, -2], spec.r, out=xi[:, -2])
+    xi[:, -1] = spec.r
+    mu = np.zeros((count, n + 1))
+    np.cumsum(widths[:, 1::2], axis=1, out=mu[:, 1:])
+    mu[:, -1] = spec.H
+    return [
+        StaircaseParams(n=n, xi=tuple(x), mu=tuple(m))
+        for x, m in zip(xi.tolist(), mu.tolist())
+    ]
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,10 @@ MAX_TABLE_ELEMENTS = 2**25
 #: float64); a product over more levels or rises is evaluated block by block.
 DP_BLOCK = 2**16
 
+#: Most elements of the edge array second_variation_test fills,
+#: trials * (mesh + 1) float64 (8 MiB); PerturbationConfig refuses more.
+MAX_PERTURB_ELEMENTS = 2**20
+
 
 @dataclass(frozen=True)
 class DpConfig:
@@ -79,7 +83,9 @@ class PerturbationConfig:
     epsilon must be finite and positive; trials (>= 1) and mesh (>= 2) must
     be Python ints, not bool, and rng_seed passes geometry.check_seed, so
     that a bad value is refused when the config is built, before any oracle
-    runs.
+    runs.  trials * (mesh + 1) may not exceed MAX_PERTURB_ELEMENTS = 2^20,
+    since second_variation_test draws every trial into one array; at the
+    default mesh of 16 that allows up to 61680 trials.
     """
 
     epsilon: float
@@ -99,6 +105,12 @@ class PerturbationConfig:
             raise ValueError("trials must be >= 1")
         if self.mesh < 2:
             raise ValueError("mesh must be >= 2")
+        if self.trials * (self.mesh + 1) > MAX_PERTURB_ELEMENTS:
+            raise ValueError(
+                f"trials * (mesh + 1) = {self.trials * (self.mesh + 1)} exceeds "
+                f"the cap of {MAX_PERTURB_ELEMENTS}: at mesh {self.mesh} at most "
+                f"{MAX_PERTURB_ELEMENTS // (self.mesh + 1)} trials"
+            )
         check_seed(self.rng_seed)
 
 
@@ -320,27 +332,48 @@ def second_variation_test(
     negative below (not a minimum).  Classification is asserted only for
     the straight contour; the weak (derivative sup-norm) neighborhood
     notion is what is being tested.
+
+    Each trial keeps its own stream, spawned from rng_seed by
+    SeedSequence, and its draws fill one row of a trials x (mesh + 1) edge
+    array and a trials x mesh phi array; sorting, differencing and the
+    element-wise arithmetic then run once over all rows.  The three sums of
+    a trial (the recentering, dR and int phi^2) stay one np.dot per row, so
+    the report is bit for bit that of a trial-by-trial loop.
     """
     r = profile.breakpoints[-1][0]
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
         r - profile.breakpoints[0][0]
     )
     eps = config.epsilon
+    trials, mesh = config.trials, config.mesh
     base = 1.0 / (1.0 + s * s)
-    deltas = np.empty(config.trials)
-    ratios = np.empty(config.trials)
-    for t, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.trials)):
+    # trial t draws from its own spawned stream: mesh - 1 cuts uniform on
+    # [0, r), then mesh values of phi uniform on [-1, 1).  Row t of each
+    # array takes them as rng.random doubles, scaled in place below exactly
+    # as Generator.uniform scales them
+    edges = np.empty((trials, mesh + 1))
+    phi = np.empty((trials, mesh))
+    for t, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(trials)):
         rng = np.random.default_rng(seed)
-        cuts = np.sort(rng.uniform(0.0, r, config.mesh - 1))
-        edges = np.concatenate([[0.0], cuts, [r]])
-        widths = np.diff(edges)
-        phi = rng.uniform(-1.0, 1.0, config.mesh)
-        phi -= float(np.dot(phi, widths)) / r
-        perturbed = s + eps * phi
-        delta = float(np.dot(widths, 1.0 / (1.0 + perturbed * perturbed) - base))
-        quad = 0.5 * eps * eps * float(np.dot(widths, phi * phi))
-        deltas[t] = delta
-        ratios[t] = delta / quad
+        rng.random(out=edges[t, 1:mesh])
+        rng.random(out=phi[t])
+    cuts = edges[:, 1:mesh]
+    cuts *= r
+    cuts.sort(axis=1)
+    edges[:, 0] = 0.0
+    edges[:, mesh] = r
+    widths = np.diff(edges, axis=1)
+    phi *= 2.0
+    phi -= 1.0
+
+    def row_dots(a, b):
+        # one np.dot per row, as for a single trial, so every sum keeps its order
+        return np.array([np.dot(x, y) for x, y in zip(a, b)])
+
+    phi -= (row_dots(phi, widths) / r)[:, None]
+    perturbed = s + eps * phi
+    deltas = row_dots(widths, 1.0 / (1.0 + perturbed * perturbed) - base)
+    ratios = deltas / (0.5 * eps * eps * row_dots(widths, phi * phi))
     expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
     return PerturbationReport(
         base_slope=s,

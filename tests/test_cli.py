@@ -624,6 +624,27 @@ def test_unrepresentable_inputs_are_usage_errors(argv, message):
     assert message in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--r", "1", "--H", "1e100", "--variant", "restricted"], "slope 1e+100"),
+        (["solve", "--r", "1", "--H", "1e100", "--variant", "unrestricted"], "slope 1e+100"),
+        (["solve", "--r", "1", "--H", "1e160", "--variant", "restricted"], "slope 1e+160"),
+        (["solve", "--r", "1", "--H", "1e160", "--variant", "unrestricted"], "slope 1e+160"),
+        (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+          "--oracle", "perturb", "--trials", "61681"], "at most 61680 trials"),
+    ],
+)
+def test_overflowing_slopes_and_oversized_trials_are_one_line_errors(argv, message):
+    proc = _run_python("-m", "newton2d.cli", *argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert message in lines[0]
+
+
 @pytest.mark.parametrize("seed", ["-1", "-7"])
 def test_verify_mc_rejects_a_negative_seed_in_a_fresh_interpreter(seed):
     # numpy would refuse it too, but only once the oracle runs, and with a

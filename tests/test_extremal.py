@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from newton2d.extremal import (
     LAMBDA_MAX,
+    MAX_FAMILY_ELEMENTS,
     SLOPE_THRESHOLD,
     Classification,
     ExtremalCertificate,
@@ -372,3 +374,127 @@ def test_gradient_check_rejects_boundary_points():
 def test_enumerate_minimizers_rejects_bad_seeds(seed):
     with pytest.raises(ValueError, match="rng_seed must be a non-negative int"):
         enumerate_minimizers(ProblemSpec(r=1.0, H=0.4), n=2, count=1, rng_seed=seed)
+
+
+def _reference_minimizers(spec, n, count, rng_seed):
+    # the per-member loop enumerate_minimizers replaced: one rng.dirichlet
+    # call per budget and member, breakpoints summed one width at a time
+    rng = np.random.default_rng(rng_seed)
+    flat_budget = spec.r - spec.H
+    members = []
+    for _ in range(count):
+        rises = rng.dirichlet(np.ones(n)) * spec.H if n > 1 else np.array([spec.H])
+        if flat_budget > 0.0:
+            flats = rng.dirichlet(np.ones(n + 1)) * flat_budget
+        else:
+            flats = np.zeros(n + 1)
+        xi = [0.0]
+        mu = [0.0]
+        x = 0.0
+        y = 0.0
+        for i in range(n):
+            x += float(flats[i])
+            xi.append(x)
+            x += float(rises[i])
+            xi.append(x)
+            y += float(rises[i])
+            mu.append(y)
+        xi.append(spec.r)
+        xi[2 * n] = min(xi[2 * n], spec.r)
+        mu[n] = spec.H
+        members.append(StaircaseParams(n=n, xi=tuple(xi), mu=tuple(mu)))
+    return members
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 12),
+    count=st.integers(1, 50),
+    r=st.floats(1e-3, 1e3),
+    # below about 1e-15 a rise rounds to zero width next to the flats, and
+    # StaircaseParams refuses the member in both versions alike
+    h_over_r=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(n=1, count=1, r=1.0, h_over_r=1.0, seed=0)
+@example(n=1, count=50, r=1.0, h_over_r=0.4, seed=1)
+@example(n=12, count=50, r=1.0, h_over_r=1.0, seed=2)
+def test_enumerate_minimizers_matches_per_member_dirichlet(n, count, r, h_over_r, seed):
+    spec = ProblemSpec(r=r, H=h_over_r * r)
+    members = enumerate_minimizers(spec, n=n, count=count, rng_seed=seed)
+    assert members == _reference_minimizers(spec, n, count, seed)
+    for params in members:
+        assert all(type(v) is float for v in params.xi + params.mu)
+
+
+def test_enumerate_minimizers_refuses_a_family_above_the_cap_before_drawing(monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("a refused family must not open a stream")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    spec = ProblemSpec(r=1.0, H=0.4)
+    n = 7
+    count = MAX_FAMILY_ELEMENTS // (2 * n + 1) + 1
+    with pytest.raises(ValueError, match="family too large"):
+        enumerate_minimizers(spec, n=n, count=count, rng_seed=0)
+    with pytest.raises(ValueError, match="family too large"):
+        enumerate_minimizers(spec, n=MAX_FAMILY_ELEMENTS, count=1, rng_seed=0)
+
+
+def test_certifying_a_family_bisects_once_per_multiplier():
+    spec = ProblemSpec(r=1.0, H=0.4)
+    members = enumerate_minimizers(spec, n=4, count=100, rng_seed=11)
+    profiles = [make_staircase(spec, params) for params in members]
+    stationary_slopes.cache_clear()
+    assert all(check_certificate(p, spec, lam=0.5).passed for p in profiles)
+    info = stationary_slopes.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [5e-324, 1e-300, 1e-12, 0.1, 0.5, lambda_for_slope(3.0), LAMBDA_MAX * (1.0 - 1e-12),
+     LAMBDA_MAX, 0.66, 1.0, 1e300],
+)
+def test_cached_slopes_equal_a_fresh_bisection(lam):
+    first = stationary_slopes(lam)
+    assert stationary_slopes(lam) is first
+    assert first == stationary_slopes.__wrapped__(lam)
+    assert type(first) is tuple
+
+
+@pytest.mark.parametrize("lam", [0.0, -0.0, -0.5, math.nan, math.inf, -math.inf])
+def test_bad_multiplier_raises_on_every_call(lam):
+    spec = ProblemSpec(r=1.0, H=0.4)
+    profile = make_staircase(spec, io_staircase_params(spec))
+    size = stationary_slopes.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            stationary_slopes(lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            check_certificate(profile, spec, lam)
+        with pytest.raises(ValueError, match="lam must be positive and finite"):
+            make_certificate(lam)
+    assert stationary_slopes.cache_info().currsize == size
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.floats(min_value=5e-324, max_value=1.1e77))
+@example(5e-324)
+@example(1.1e77)
+def test_lambda_for_slope_keeps_its_formula_where_finite(s):
+    lam = lambda_for_slope(s)
+    assert lam == 2.0 * s / (1.0 + s * s) ** 2
+    assert 0.0 < lam < math.inf
+
+
+@pytest.mark.parametrize("s", [1.2e77, 1e100, 1.34e154, 1e160, 1e308])
+def test_lambda_for_slope_names_a_slope_whose_denominator_overflows(s):
+    with pytest.raises(ValueError, match=re.escape(f"slope {s!r} is too steep")):
+        lambda_for_slope(s)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_lambda_for_slope_rejects_non_positive_or_non_finite(s):
+    with pytest.raises(ValueError, match="slope must be positive and finite"):
+        lambda_for_slope(s)

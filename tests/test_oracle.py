@@ -12,6 +12,7 @@ from newton2d import oracle
 from newton2d.functional import resistance_2d, triangle_resistance
 from newton2d.geometry import ProblemSpec, Variant, make_triangle, validate
 from newton2d.oracle import (
+    MAX_PERTURB_ELEMENTS,
     MAX_TABLE_ELEMENTS,
     DpConfig,
     PerturbationConfig,
@@ -430,3 +431,74 @@ def test_finite_difference_gradient_on_polynomial():
     assert grad == pytest.approx([2.0 * 1.5 * -2.0, 1.5**2 + 3.0], abs=1e-8)
     with pytest.raises(ValueError):
         finite_difference_gradient(f, point, 0.0)
+
+
+def _reference_second_variation(profile, spec, config):
+    # the trial-by-trial loop second_variation_test replaced
+    r = profile.breakpoints[-1][0]
+    s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
+        r - profile.breakpoints[0][0]
+    )
+    eps = config.epsilon
+    base = 1.0 / (1.0 + s * s)
+    deltas = np.empty(config.trials)
+    ratios = np.empty(config.trials)
+    for t, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.trials)):
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.uniform(0.0, r, config.mesh - 1))
+        edges = np.concatenate([[0.0], cuts, [r]])
+        widths = np.diff(edges)
+        phi = rng.uniform(-1.0, 1.0, config.mesh)
+        phi -= float(np.dot(phi, widths)) / r
+        perturbed = s + eps * phi
+        delta = float(np.dot(widths, 1.0 / (1.0 + perturbed * perturbed) - base))
+        quad = 0.5 * eps * eps * float(np.dot(widths, phi * phi))
+        deltas[t] = delta
+        ratios[t] = delta / quad
+    expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
+    return oracle.PerturbationReport(
+        base_slope=s,
+        epsilon=eps,
+        min_delta=float(deltas.min()),
+        max_delta=float(deltas.max()),
+        mean_ratio=float(ratios.mean()),
+        expected_ratio=expected,
+        ratios=tuple(ratios),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    trials=st.integers(1, 100),
+    mesh=st.integers(2, 40),
+    r=st.floats(1e-3, 1e3),
+    s=st.one_of(st.floats(0.05, 0.577), st.floats(0.578, 3.0)),
+    eps=st.floats(1e-4, 0.1),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_second_variation_matches_the_trial_by_trial_loop(trials, mesh, r, s, eps, seed):
+    spec = ProblemSpec(r=r, H=s * r)
+    profile = make_triangle(spec)
+    config = PerturbationConfig(epsilon=eps, trials=trials, rng_seed=seed, mesh=mesh)
+    report = second_variation_test(profile, spec, config)
+    reference = _reference_second_variation(profile, spec, config)
+    for field in ("base_slope", "epsilon", "min_delta", "max_delta", "mean_ratio",
+                  "expected_ratio", "ratios"):
+        assert getattr(report, field) == getattr(reference, field), field
+    assert report == reference
+
+
+@pytest.mark.parametrize(
+    "trials, mesh",
+    [(MAX_PERTURB_ELEMENTS // 17 + 1, 16), (MAX_PERTURB_ELEMENTS, 2),
+     (1, MAX_PERTURB_ELEMENTS), (2**40, 2**40)],
+)
+def test_perturbation_config_refuses_arrays_above_the_cap(trials, mesh):
+    with pytest.raises(ValueError, match=f"exceeds the cap of {MAX_PERTURB_ELEMENTS}"):
+        PerturbationConfig(epsilon=0.01, trials=trials, rng_seed=0, mesh=mesh)
+
+
+def test_perturbation_config_accepts_the_cap_without_running():
+    # building a config allocates nothing; only the oracle fills the arrays
+    config = PerturbationConfig(epsilon=0.01, trials=MAX_PERTURB_ELEMENTS // 17, rng_seed=0)
+    assert config.trials * (config.mesh + 1) <= MAX_PERTURB_ELEMENTS
