@@ -20,6 +20,8 @@ from .geometry import (
     ProblemSpec,
     StaircaseParams,
     Variant,
+    check_int,
+    check_real,
     check_seed,
     make_staircase,
     make_triangle,
@@ -101,12 +103,7 @@ def _branch_root(half: float, lo: float, hi: float) -> float:
             hi = mid
 
 
-def _check_multiplier(lam: float) -> None:
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam}")
-
-
-@functools.lru_cache(maxsize=SLOPES_CACHE_SIZE)
+@functools.lru_cache(maxsize=SLOPES_CACHE_SIZE, typed=True)
 def stationary_slopes(lam: float) -> tuple[float, ...]:
     """Nonnegative slopes solving the first-order condition u/(1+u^2)^2 = lam/2.
 
@@ -127,10 +124,11 @@ def stationary_slopes(lam: float) -> tuple[float, ...]:
     The roots are a pure function of lam, so they are memoized in an
     LRU cache of SLOPES_CACHE_SIZE = 256 multipliers (a fixed size, not a
     setting): a repeated lam, such as the 1/2 that certifies every member
-    of the staircase family, costs one bisection per process.  A refused
-    lam raises before anything is stored, so it raises on every call.
+    of the staircase family, costs one bisection per process.  A lam the
+    real-number rule refuses raises before anything is stored, and the
+    cache is typed (True is not served 1.0's roots), so it raises on every call.
     """
-    _check_multiplier(lam)
+    check_real("lam", lam, positive=True)
     half = lam / 2.0
     peak = _slope_response(SLOPE_THRESHOLD)
     if half > peak * (1.0 + 1e-13):
@@ -149,10 +147,9 @@ def lambda_for_slope(s: float) -> float:
     """Multiplier making s a stationary slope: lam = 2s/(1+s^2)^2.
 
     s must be positive and finite, and (1+s^2)^2 must be a finite double
-    (s below about 1.16e77); otherwise ValueError names s.
+    (s below about 1.16e77); otherwise ValueError names the slope.
     """
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"slope must be positive and finite, got {s}")
+    check_real("slope", s, positive=True)
     try:
         denom = (1.0 + s * s) ** 2
     except OverflowError:
@@ -184,8 +181,7 @@ class ExtremalCertificate:
     psi0: float = -1.0
 
     def __post_init__(self) -> None:
-        if not (self.lam > 0.0):
-            raise ValueError("lambda must be positive")
+        check_real("lam", self.lam, positive=True)
         if self.psi0 != -1.0:
             raise ValueError("psi0 is normalized to -1")
 
@@ -237,9 +233,9 @@ def check_certificate(
 
     A passing report for a restricted-variant profile certifies a
     Pontryagin extremal, hence a global minimizer within the admissible
-    class.  A lam that is not positive and finite raises ValueError.
+    class.  A lam or tol that the real-number rule refuses raises ValueError.
     """
-    _check_multiplier(lam)
+    check_real("tol", tol, 0.0)
     h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
     values = tuple(hamiltonian(u, lam) for u in profile.slopes)
     worst = max(h_max - v for v in values)
@@ -293,20 +289,27 @@ class SolutionReport:
         }
 
 
+def _family_member(spec: ProblemSpec, n: int, xi, mu) -> StaircaseParams:
+    # on a body with tiny H/r a rise can round to zero width (r - H == r),
+    # which StaircaseParams refuses: the body is then refused by name
+    try:
+        return StaircaseParams(n=n, xi=xi, mu=mu)
+    except ValueError as exc:
+        raise ValueError(f"H/r = {spec.H / spec.r!r} is too small to write in doubles: {exc}") from None
+
+
 def io_staircase_params(spec: ProblemSpec) -> StaircaseParams:
     """Flat on [0, r-H] then slope 1 up to (r, H); requires H <= r."""
     if spec.H > spec.r:
         raise ValueError("flat-then-rise optimum requires H <= r")
-    return StaircaseParams(
-        n=1, xi=(0.0, spec.r - spec.H, spec.r, spec.r), mu=(0.0, spec.H)
-    )
+    return _family_member(spec, 1, (0.0, spec.r - spec.H, spec.r, spec.r), (0.0, spec.H))
 
 
 def fo_staircase_params(spec: ProblemSpec) -> StaircaseParams:
     """Slope 1 on [0, H] then flat up to (r, H); requires H <= r."""
     if spec.H > spec.r:
         raise ValueError("rise-then-flat optimum requires H <= r")
-    return StaircaseParams(n=1, xi=(0.0, 0.0, spec.H, spec.r), mu=(0.0, spec.H))
+    return _family_member(spec, 1, (0.0, 0.0, spec.H, spec.r), (0.0, spec.H))
 
 
 def _two_rise_params(spec: ProblemSpec) -> StaircaseParams:
@@ -314,8 +317,7 @@ def _two_rise_params(spec: ProblemSpec) -> StaircaseParams:
     f = (spec.r - spec.H) / 3.0
     w = spec.H / 2.0
     xi = (0.0, f, f + w, 2.0 * f + w, 2.0 * f + 2.0 * w, spec.r)
-    mu = (0.0, w, spec.H)
-    return StaircaseParams(n=2, xi=xi, mu=mu)
+    return _family_member(spec, 2, xi, (0.0, w, spec.H))
 
 
 def solve(spec: ProblemSpec) -> SolutionReport:
@@ -326,6 +328,8 @@ def solve(spec: ProblemSpec) -> SolutionReport:
     no solution at all.  Restricted: unique straight minimizer for H > r,
     infinitely many slope-{0,1} staircases with drag r - H/2 for H < r,
     and at H = r the staircase family collapses to the straight contour.
+    A restricted body so thin that a staircase rise rounds to zero width in
+    doubles (H/r about 1.1e-16 or less) is refused, naming H/r.
     """
     if spec.dimension != 2:
         raise ValueError("closed-form solver covers dimension 2 only")
@@ -394,8 +398,9 @@ def enumerate_minimizers(
     sum to r - H, each a uniform point of its simplex: a member draws
     Dirichlet(1, ..., 1) weights for its n rises (none when n = 1) and then
     for its n + 1 flats (none when H = r).  Every member evaluates to
-    r - H/2 and passes the certificate check at lambda = 1/2.  rng_seed
-    must pass geometry.check_seed.
+    r - H/2 and passes the certificate check at lambda = 1/2.  n and count
+    pass the integer rule (>= 1), rng_seed geometry.check_seed; a member
+    whose rise rounds to zero width is refused, as in solve.
 
     numpy's Dirichlet(1, ..., 1) draws one standard exponential per weight
     (a Gamma(1) variate is one), sums them left to right and scales each
@@ -409,8 +414,8 @@ def enumerate_minimizers(
         raise ValueError("the minimizing staircase family is a restricted-variant object")
     if spec.H > spec.r:
         raise ValueError("the staircase family is empty for H > r")
-    if n < 1 or count < 1:
-        raise ValueError("n and count must be positive")
+    check_int("n", n, 1)
+    check_int("count", count, 1)
     if count * (2 * n + 1) > MAX_FAMILY_ELEMENTS:
         raise ValueError(
             f"family too large: count * (2n + 1) = {count * (2 * n + 1)} values, "
@@ -445,7 +450,7 @@ def enumerate_minimizers(
     np.cumsum(widths[:, 1::2], axis=1, out=mu[:, 1:])
     mu[:, -1] = spec.H
     return [
-        StaircaseParams(n=n, xi=tuple(x), mu=tuple(m))
+        _family_member(spec, n, tuple(x), tuple(m))
         for x, m in zip(xi.tolist(), mu.tolist())
     ]
 
@@ -474,6 +479,7 @@ def staircase_gradient_check(
     """
     if params.xi[-1] != spec.r or params.mu[-1] != spec.H:
         raise ValueError("staircase parameters inconsistent with problem spec")
+    check_real("fd_step", fd_step, positive=True)
     import numpy as np
 
     from .oracle import finite_difference_gradient

@@ -7,7 +7,7 @@ quadrature is used anywhere.
 
 from __future__ import annotations
 
-from .geometry import Profile, ProblemSpec, StaircaseParams, make_staircase
+from .geometry import Profile, ProblemSpec, StaircaseParams, check_real, make_staircase
 
 
 def _segment_drag(width: float, rise: float) -> float:
@@ -82,8 +82,7 @@ def resistance_difference(xi: float, spec: ProblemSpec) -> float:
     Negative for all xi in (0, r) when r < H (the triangle wins); positive
     at xi = H when r > H (the staircase wins).
     """
-    if not (0.0 <= xi <= spec.r):
-        raise ValueError(f"xi = {xi} must lie in [0, r] with r = {spec.r}")
+    check_real("xi", xi, 0.0, spec.r)
     return triangle_resistance(spec) - (_segment_drag(xi, spec.H) + spec.r - xi)
 
 
@@ -94,8 +93,7 @@ def resistance_difference_closed_form(xi: float, spec: ProblemSpec) -> float:
 
     Cross-check only; the directly computed difference is authoritative.
     """
-    if not (0.0 <= xi <= spec.r):
-        raise ValueError(f"xi = {xi} must lie in [0, r] with r = {spec.r}")
+    check_real("xi", xi, 0.0, spec.r)
     r, H = spec.r, spec.H
     return (
         H * H * (r - xi) * (r * xi - H * H)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -34,27 +35,54 @@ class ProblemSpec:
     def __post_init__(self) -> None:
         if isinstance(self.variant, str):
             object.__setattr__(self, "variant", Variant(self.variant))
-        if not (math.isfinite(self.r) and self.r > 0.0):
-            raise ValueError(f"r must be positive and finite, got {self.r}")
-        if not (math.isfinite(self.H) and self.H > 0.0):
-            raise ValueError(f"H must be positive and finite, got {self.H}")
-        if isinstance(self.dimension, bool) or not isinstance(self.dimension, int):
-            raise ValueError(
-                f"dimension must be an int, got {type(self.dimension).__name__}"
-            )
-        if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+        check_real("r", self.r, positive=True)
+        check_real("H", self.H, positive=True)
+        check_int("dimension", self.dimension, 2, 3)
+
+
+def check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
+    """The integer rule: value must be a Python int with lo <= value <= hi.
+
+    bool is refused, though it subclasses int, and so is every other type,
+    float and numpy integers included.  The ValueError names the argument
+    and the refused value.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+        if hi < math.inf:
+            bounds = f"an int in [{lo}, {hi}]"
+        else:
+            bounds = "a non-negative int" if lo == 0 else f"an int >= {lo}"
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+def check_real(name: str, value: float, lo=-math.inf, hi=math.inf, *, positive=False) -> None:
+    """The real-number rule: value must be a finite int or float in [lo, hi].
+
+    positive=True asks for value > 0 instead of a lower bound.  NaN and
+    +-inf are refused whatever the bounds, and so is an int beyond the
+    largest double; bool, str and every other type are refused too.  The
+    ValueError names the argument and the refused value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        max(lo, -sys.float_info.max) <= value <= min(hi, sys.float_info.max)
+        and (value > 0 or not positive)
+    ):
+        if positive:
+            bounds = "positive and finite"
+        elif hi < math.inf:
+            bounds = f"a finite number in [{lo}, {hi}]"
+        else:
+            bounds = "a finite number" + (f" >= {lo}" if lo > -math.inf else "")
+        raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
 def check_seed(rng_seed: int) -> None:
-    """Reject a random seed that is not a non-negative Python int.
+    """The seed rule of every seeded routine: the integer rule, rng_seed >= 0.
 
-    Every seeded routine applies this one rule.  bool, float and None are
-    refused: None would draw a fresh, irreproducible stream, and numpy
-    refuses a negative seed with a message that does not name it.
+    None would draw an irreproducible stream, and numpy refuses a negative
+    seed with a message that does not name it.
     """
-    if isinstance(rng_seed, bool) or not isinstance(rng_seed, int) or rng_seed < 0:
-        raise ValueError(f"rng_seed must be a non-negative int, got {rng_seed!r}")
+    check_int("rng_seed", rng_seed, 0)
 
 
 @dataclass(frozen=True)
@@ -114,8 +142,7 @@ class Profile:
     def segment_index(self, x: float) -> int:
         """Index of the segment containing x (right-continuous at breakpoints)."""
         xs = self.xs
-        if x < xs[0] or x > xs[-1]:
-            raise ValueError(f"x={x} outside profile domain [{xs[0]}, {xs[-1]}]")
+        check_real("x", x, xs[0], xs[-1])
         i = bisect.bisect_right(xs, x) - 1
         return min(i, len(xs) - 2)
 
@@ -140,8 +167,7 @@ class StaircaseParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
         object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
+        check_int("n", self.n, 1)
         if len(self.xi) != 2 * self.n + 2:
             raise ValueError(
                 f"xi must have 2n+2 = {2 * self.n + 2} entries, got {len(self.xi)}"
@@ -158,9 +184,7 @@ class StaircaseParams:
             raise ValueError("xi must be nondecreasing")
         if any(b < a for a, b in zip(self.mu, self.mu[1:])):
             raise ValueError("mu must be nondecreasing")
-        for i in range(self.n):
-            width = self.xi[2 * i + 2] - self.xi[2 * i + 1]
-            height = self.mu[i + 1] - self.mu[i]
+        for i, (width, height) in enumerate(zip(self.rise_widths, self.rise_heights)):
             if height > 0.0 and width <= 0.0:
                 raise ValueError(
                     f"rise {i} has height {height} over zero width (infinite slope)"
@@ -190,8 +214,7 @@ class CounterexampleParams:
     a: float
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0):
-            raise ValueError(f"a must be positive, got {self.a}")
+        check_real("a", self.a, positive=True)
 
 
 @dataclass(frozen=True)
@@ -296,14 +319,19 @@ def profile_to_dict(profile: Profile, spec: ProblemSpec) -> dict:
 
 
 def profile_from_dict(data: dict) -> tuple[Profile, ProblemSpec]:
-    """Parse the mapping produced by :func:`profile_to_dict`."""
+    """Parse the mapping produced by :func:`profile_to_dict`.
+
+    r, H and every coordinate pass the real-number rule, so a string or a
+    bool is refused, not converted; every breakpoint must be an [x, y] pair.
+    """
     try:
-        spec = ProblemSpec(
-            r=float(data["r"]),
-            H=float(data["H"]),
-            variant=Variant(data["variant"]),
-        )
-        breakpoints = tuple((float(x), float(y)) for x, y in data["breakpoints"])
+        spec = ProblemSpec(r=data["r"], H=data["H"], variant=Variant(data["variant"]))
+        points = data["breakpoints"]
+        for i, point in enumerate(points):
+            if not isinstance(point, (list, tuple)) or len(point) != 2:
+                raise ValueError(f"breakpoint {i} must be an [x, y] pair, got {point!r}")
+            check_real(f"breakpoint {i} x", point[0])
+            check_real(f"breakpoint {i} y", point[1])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed profile data: {exc}") from exc
-    return Profile(breakpoints), spec
+    return Profile(tuple(map(tuple, points))), spec

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Profile, check_seed
+from .geometry import Profile, check_int, check_seed
 
 #: Most samples estimate_resistance draws; see check_sample_count.
 MAX_SAMPLES = 2**25
@@ -115,23 +115,16 @@ def impact_at(profile: Profile, x: float) -> ImpactRecord:
 def check_sample_count(n_samples: int) -> None:
     """Reject a Monte Carlo sample count before anything is drawn.
 
-    n_samples must be a Python int (bool is rejected) with
-    2 <= n_samples <= MAX_SAMPLES = 2^25; one sample has no standard error.
-    estimate_resistance holds O(MC_CHUNK + S) memory whatever the count, so
-    the cap bounds time, not memory: at the cap, about 3 ns per sample
-    (0.1 s) for a profile of up to MC_DIRECT_MAX + 1 = 17 segments, where
-    drawing costs most, and about 9 ns per sample (0.3 s) for one of more
-    segments, whose chunks are sorted (measured on a 2 vCPU x86-64 with
-    AVX-512, numpy 2.4).  The cap is fixed, not a setting.
+    n_samples passes the integer rule in [2, MAX_SAMPLES = 2^25]; one
+    sample has no standard error.  estimate_resistance holds
+    O(MC_CHUNK + S) memory whatever the count, so the cap bounds time, not
+    memory: at the cap, about 3 ns per sample (0.1 s) for a profile of up
+    to MC_DIRECT_MAX + 1 = 17 segments, where drawing costs most, and about
+    9 ns per sample (0.3 s) for one of more segments, whose chunks are
+    sorted (measured on a 2 vCPU x86-64 with AVX-512, numpy 2.4).  The cap
+    is fixed, not a setting.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int):
-        raise ValueError(f"n_samples must be an int, got {type(n_samples).__name__}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    if n_samples > MAX_SAMPLES:
-        raise ValueError(
-            f"n_samples must be at most {MAX_SAMPLES} (2^25), got {n_samples}"
-        )
+    check_int("n_samples", n_samples, 2, MAX_SAMPLES)
 
 
 def segment_counts(profile: Profile, n_samples: int, rng_seed: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Profile, ProblemSpec, Variant, check_seed
+from .geometry import Profile, ProblemSpec, Variant, check_int, check_real, check_seed
 
 #: Most elements dp_min_resistance lets one of its tables hold: the sums of
 #: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
@@ -36,28 +36,12 @@ MAX_PERTURB_ELEMENTS = 2**20
 class DpConfig:
     """Grid resolution for the dynamic-programming minimization.
 
-    n_cells (N) and n_levels (M) must be Python ints >= 2; bool and float
-    are rejected, since the restricted DP does bit arithmetic on N.
-    slope_bound sets the DP's slope set K: it is ignored for the restricted
-    variant, whose K = 0..n_levels (monotone contours already keep the DP
-    finite), and must be positive for the unrestricted variant, whose K
-    holds every rise k with |k| * (H/n_levels) / (r/n_cells) <= slope_bound
-    (its drag infimum is zero without a slope bound).
-
-    Both variants run the same (min,+) product over K; the variant picks
-    the schedule.  The restricted DP is free to order its rises, so it
-    squares, in O(M^2 log N) time and O(M log N) rise storage, and reports
-    the rises flattest first.  The unrestricted contour must stay within
-    its level band at every prefix, so its DP chains the product cell by
-    cell, in O(N top |K|) time.  dp_min_resistance states the tie rules.
-
-    Size is capped: dp_min_resistance raises ValueError, before it
-    allocates anything, when its largest table would exceed
-    MAX_TABLE_ELEMENTS = 2^25 elements.  That table is the (M+1)^2 sums of
-    one restricted product, or for the unrestricted variant the larger of
-    the N x (top+1) rise table and the (top+1) x |K| sums of one product.
-    A product forms its sums in row blocks of at most DP_BLOCK = 2^16, so
-    they bound its work, not its memory.  The cap is fixed, not a setting.
+    n_cells (N) and n_levels (M) pass the integer rule with N, M >= 2 (the
+    restricted DP does bit arithmetic on N), slope_bound the real-number
+    rule with slope_bound >= 0.  slope_bound is ignored by the restricted
+    variant and must be positive for the unrestricted one, whose drag
+    infimum is zero without a slope bound.  dp_min_resistance states the
+    DP's design: its slope sets, schedules, tie rules, cost and size cap.
     """
 
     n_cells: int
@@ -65,27 +49,21 @@ class DpConfig:
     slope_bound: float = 0.0
 
     def __post_init__(self) -> None:
-        for v in (self.n_cells, self.n_levels):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(
-                    f"n_cells and n_levels must be ints, got {type(v).__name__}"
-                )
-        if self.n_cells < 2 or self.n_levels < 2:
-            raise ValueError("n_cells and n_levels must both be >= 2")
-        if not 0.0 <= self.slope_bound < math.inf:
-            raise ValueError("slope_bound must be finite and nonnegative")
+        check_int("n_cells", self.n_cells, 2)
+        check_int("n_levels", self.n_levels, 2)
+        check_real("slope_bound", self.slope_bound, 0.0)
 
 
 @dataclass(frozen=True)
 class PerturbationConfig:
     """Scale, trial count, seed and mesh size for perturbation tests.
 
-    epsilon must be finite and positive; trials (>= 1) and mesh (>= 2) must
-    be Python ints, not bool, and rng_seed passes geometry.check_seed, so
-    that a bad value is refused when the config is built, before any oracle
-    runs.  trials * (mesh + 1) may not exceed MAX_PERTURB_ELEMENTS = 2^20,
-    since second_variation_test draws every trial into one array; at the
-    default mesh of 16 that allows up to 61680 trials.
+    epsilon passes the real-number rule (positive), trials (>= 1) and mesh
+    (>= 2) the integer rule, and rng_seed geometry.check_seed, so that a
+    bad value is refused when the config is built, before any oracle runs.
+    trials * (mesh + 1) may not exceed MAX_PERTURB_ELEMENTS = 2^20, since
+    second_variation_test draws every trial into one array; at the default
+    mesh of 16 that allows up to 61680 trials.
     """
 
     epsilon: float
@@ -94,17 +72,9 @@ class PerturbationConfig:
     mesh: int = 16
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
-        for v in (self.trials, self.mesh):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(
-                    f"trials and mesh must be ints, got {type(v).__name__}"
-                )
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.mesh < 2:
-            raise ValueError("mesh must be >= 2")
+        check_real("epsilon", self.epsilon, positive=True)
+        check_int("trials", self.trials, 1)
+        check_int("mesh", self.mesh, 2)
         if self.trials * (self.mesh + 1) > MAX_PERTURB_ELEMENTS:
             raise ValueError(
                 f"trials * (mesh + 1) = {self.trials * (self.mesh + 1)} exceeds "
@@ -164,6 +134,11 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
 
     Both schedules are deterministic, so the reported argmin profile is
     reproducible.
+
+    A grid whose largest table would exceed MAX_TABLE_ELEMENTS is refused,
+    by arithmetic, before anything is allocated: the (M+1)^2 sums of one
+    restricted product, or the larger of the unrestricted N x (top+1) rise
+    table and the (top+1) x |K| sums of one product.
     """
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
@@ -173,8 +148,8 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     if elements > MAX_TABLE_ELEMENTS:
         raise ValueError(
             f"DP grid too large: its largest table would hold {elements} "
-            f"elements, above the cap of {MAX_TABLE_ELEMENTS}; use fewer "
-            "cells or levels, or a smaller slope_bound"
+            f"elements, above the cap of {MAX_TABLE_ELEMENTS}; use a smaller "
+            "n_cells or n_levels, or a smaller slope_bound"
         )
     if restricted:
         # tie order M..0: the right factor's largest share first, so a tie
@@ -395,8 +370,7 @@ def finite_difference_gradient(
 
     Cross-check utility only; never a substitute for analytic gradients.
     """
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    check_real("step", step, positive=True)
     point = np.asarray(point, dtype=float)
     grad = np.empty_like(point)
     for i in range(point.size):

@@ -459,6 +459,33 @@ def test_eval_and_export_svg_refuse_an_overflowing_profile(tmp_path, data, messa
     assert not out_path.exists()
 
 
+_MISTYPED_PROFILES = [
+    ({"r": "1"}, "r must be positive and finite, got '1'"),
+    ({"H": True}, "H must be positive and finite, got True"),
+    ({"breakpoints": [["0", "0"], ["1", "1"]]}, "breakpoint 0 x must be a finite number, got '0'"),
+    ({"breakpoints": [[0.0, 0.0], [1.0, 1.0, 0.0]]}, "breakpoint 1 must be an [x, y] pair"),
+]
+
+
+@pytest.mark.parametrize("fields, message", _MISTYPED_PROFILES)
+def test_eval_and_export_svg_refuse_a_profile_of_strings_bools_or_triples(tmp_path, fields, message):
+    # eval used to convert "1" and true with float() and print a drag
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps({"r": 1.0, "H": 1.0, "variant": "restricted",
+                                "breakpoints": [[0.0, 0.0], [1.0, 1.0]], **fields}))
+    out_path = tmp_path / "x.svg"
+    for argv in (
+        ["eval", "--profile", str(path)],
+        ["export-svg", "--profile", str(path), "--out", str(out_path)],
+    ):
+        proc = _run_python("-m", "newton2d.cli", *argv)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"error: invalid profile: {message}")
+        assert len(proc.stderr.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_cli_import_does_not_load_scipy():
     proc = _run_python("-c", "import sys, newton2d.cli; print('scipy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
@@ -612,6 +639,8 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
           "--oracle", "perturb", "--eps", "inf"], "epsilon"),
         (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
           "--eps", "nan"], "epsilon"),
+        (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
+        (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):

@@ -498,3 +498,22 @@ def test_lambda_for_slope_names_a_slope_whose_denominator_overflows(s):
 def test_lambda_for_slope_rejects_non_positive_or_non_finite(s):
     with pytest.raises(ValueError, match="slope must be positive and finite"):
         lambda_for_slope(s)
+
+
+@pytest.mark.parametrize("H", [1e-17, 1e-300, 2.0**-53])
+def test_solve_refuses_a_body_whose_staircase_cannot_be_written_in_doubles(H):
+    # r - H rounds to r below H = 2^-54, and the two-rise representative's
+    # second rise rounds to zero width at H = 2^-53
+    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} is too small")):
+        solve(ProblemSpec(r=1.0, H=H))
+
+
+def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
+    with pytest.raises(ValueError, match=re.escape("H/r = 1e-15 is too small")):
+        enumerate_minimizers(ProblemSpec(r=1.0, H=1e-15), 3, 20, 1)
+
+
+def test_solve_still_writes_the_smallest_staircases_that_fit_in_doubles():
+    report = solve(ProblemSpec(r=1.0, H=1e-16))
+    assert report.status is SolutionStatus.INFINITE_FAMILY
+    assert len(report.representative_profiles) == 3

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -43,7 +44,9 @@ def test_dp_config_validation():
     [(200.0, 200), (200, 200.0), (True, 200), (200, False), (np.int64(200), 200)],
 )
 def test_dp_config_rejects_non_int_sizes(n_cells, n_levels):
-    with pytest.raises(ValueError, match="ints"):
+    # the first size that is not a Python int is named, with its value
+    name, bad = ("n_cells", n_cells) if type(n_cells) is not int else ("n_levels", n_levels)
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an int >= 2, got {bad!r}")):
         DpConfig(n_cells, n_levels)
 
 
@@ -360,9 +363,9 @@ def test_perturbation_config_validation():
     [
         ({"epsilon": math.inf}, "epsilon must be positive and finite"),
         ({"epsilon": math.nan}, "epsilon must be positive and finite"),
-        ({"trials": 2.5}, "trials and mesh must be ints, got float"),
-        ({"trials": True}, "trials and mesh must be ints, got bool"),
-        ({"mesh": 16.0}, "trials and mesh must be ints, got float"),
+        ({"trials": 2.5}, "trials must be an int >= 1, got 2.5"),
+        ({"trials": True}, "trials must be an int >= 1, got True"),
+        ({"mesh": 16.0}, "mesh must be an int >= 2, got 16.0"),
         ({"rng_seed": -1}, "rng_seed must be a non-negative int, got -1"),
         ({"rng_seed": True}, "rng_seed must be a non-negative int, got True"),
         ({"rng_seed": 1.0}, "rng_seed must be a non-negative int, got 1.0"),
