@@ -61,7 +61,8 @@ def branch_resistance_initial_flat(xi: float, spec: ProblemSpec) -> float:
 
     Minimized over [0, r-H] at xi = r - H when H <= r.
     """
-    if not (0.0 <= xi < spec.r):
+    check_real("xi", xi, 0.0, spec.r)
+    if xi == spec.r:
         raise ValueError(f"xi = {xi} must lie in [0, r) with r = {spec.r}")
     return xi + _segment_drag(spec.r - xi, spec.H)
 
@@ -71,7 +72,8 @@ def branch_resistance_final_flat(xi: float, spec: ProblemSpec) -> float:
 
     Minimized at xi = H when H <= r.
     """
-    if not (0.0 < xi <= spec.r):
+    check_real("xi", xi, 0.0, spec.r)
+    if xi == 0.0:
         raise ValueError(f"xi = {xi} must lie in (0, r] with r = {spec.r}")
     return _segment_drag(xi, spec.H) + spec.r - xi
 

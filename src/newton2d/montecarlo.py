@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Profile, check_int, check_seed
+from .geometry import Profile, check_int, check_real, check_seed
 
 #: Most samples estimate_resistance draws; see check_sample_count.
 MAX_SAMPLES = 2**25
@@ -261,7 +261,8 @@ def single_collision_check(profile: Profile, ray_tol: float = 1e-9) -> Collision
     breakpoints, so no temporary holds more than max(COLLISION_BLOCK, S + 1)
     elements.  The pairs are reported in lexicographic order.
     """
-    if not 0.0 <= ray_tol < 1.0:
+    check_real("ray_tol", ray_tol, 0.0, 1.0)
+    if ray_tol == 1.0:
         raise ValueError(f"ray_tol must lie in [0, 1), got {ray_tol}")
     x, y = np.array(profile.breakpoints).T
     slopes = profile.slopes

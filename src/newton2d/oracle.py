@@ -105,7 +105,7 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     at exact cost c(k) = dx / (1 + u^2) with u = k (dh / dx), a form that
     scales with the body (dx^3 would underflow or overflow at extreme r).
 
-    Both variants run one (min,+) product over the levels 0..top,
+    Both variants run one (min,+) product over levels within 0..top,
     (a * b)[j] = min_k a[j - k] + b[k] with k in K, whose ties go to the
     first minimum in K's tie order, and one backtrack through the tree of
     products; the variant alone picks the schedule.  A product forms its
@@ -128,9 +128,25 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     prefix, with top capped above the bang-bang peak (B r + H) / 2.  The
     order of the rises then matters and the squaring argument fails, so
     this variant chains the product cell by cell,
-    cost'[j] = min_k cost[j - k] + c(k), in O(N top |K|) time with an
-    N x (top+1) rise table.  K's tie order is (|k|, k): ties go to the
-    smallest |k|, then the downward rise.
+    cost'[j] = min_k cost[j - k] + c(k), with an N x (top+1) rise table.
+    K's tie order is (|k|, k): ties go to the smallest |k|, then the
+    downward rise.  Cell i+1 (0-based step i) evaluates only the band of
+    levels that lie on some contour from level 0 to level M,
+
+        lo_i = max(0, M - (N-i-1) k_max),
+        hi_i = min(top, (i+1) k_max, M + (N-i-1) k_max),
+
+    since i+1 cells rise at most (i+1) k_max and the N-i-1 cells left
+    move at most (N-i-1) k_max.  This is exact: a banded level reads its
+    predecessors j - k, |k| <= k_max, and each lies in the previous band or
+    is a level no step ever wrote, which holds +inf, as it does when every
+    level is evaluated.  So every sum, argmin and tie on a 0 -> M contour
+    is the same, and value and profile are bit for bit those of the full
+    recurrence.  The cost is sum_i (hi_i - lo_i + 1) |K| sums, against
+    N (top+1) |K| over every level.  top never binds: the band peaks at
+    floor((M + N k_max) / 2), and N k_max dh <= B r (up to the 1e-12 that
+    rounds k_max), so the peak lies at or below (H + B r) / (2 dh), k_max
+    levels under top.
 
     Both schedules are deterministic, so the reported argmin profile is
     reproducible.
@@ -162,7 +178,7 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     if restricted:
         values, tree = _square(cell_cost, ks, n)
     else:
-        values, tree = _chain(cell_cost, ks, n, top)
+        values, tree = _chain(cell_cost, ks, n, m, top)
     rises = _backtrack(tree, values, m)
     if restricted:
         rises.sort()
@@ -185,7 +201,8 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
         raise ValueError(
             "infeasible grid: required total rise unreachable under slope bound"
         )
-    # level cap: generous room above the bang-bang peak (B r + H) / 2
+    # level cap: k_max levels above the bang-bang peak (B r + H) / 2, so
+    # above the band's peak floor((M + N k_max) / 2) too and never binding
     top = max(
         m,
         math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
@@ -237,12 +254,16 @@ def _square(cell_cost, ks, n):
         power = multiply(power, power)
 
 
-def _chain(cell_cost, ks, n, top):
+def _chain(cell_cost, ks, n, m, top):
     # slope-bounded schedule: one cell at a time, since every prefix must stay
     # within the levels 0..top.  The levels alternate between two buffers
     # padded with k_max +inf on each side, each with one window; the rises go
-    # into one contiguous table.  The first product places one cell on the
-    # levels, so its tree is a leaf and its row is never read.
+    # into one contiguous table.  Cell i + 1 evaluates only its band
+    # lo..stop - 1, the levels some 0 -> m contour can pass there (see
+    # dp_min_resistance); a level outside it is either never read again or
+    # never written, so +inf, and its rise stays unset.  The first product
+    # places one cell on the levels, so its tree is a leaf and its row is
+    # never read.
     k_max = int(ks.max())
     cols = k_max - ks
     buffers = np.full((2, top + 1 + 2 * k_max), np.inf)
@@ -252,7 +273,13 @@ def _chain(cell_cost, ks, n, top):
     rises = np.empty((n, top + 1), dtype=np.int32)
     tree = None
     for i in range(n):
-        _product(windows[i % 2], cell_cost, ks, cols, levels[1 - i % 2], rises[i])
+        left = (n - i - 1) * k_max
+        lo = max(0, m - left)
+        stop = min(top, (i + 1) * k_max, m + left) + 1
+        _product(
+            windows[i % 2][lo:stop], cell_cost, ks, cols,
+            levels[1 - i % 2, lo:stop], rises[i, lo:stop],
+        )
         if i:
             tree = (tree, None, rises[i])
     return levels[n % 2], tree

@@ -147,6 +147,17 @@ def test_branch_domain_validation():
         resistance_difference(1.5, spec)
 
 
+@pytest.mark.parametrize("xi", ["a", True, None, float("nan")])
+@pytest.mark.parametrize(
+    "branch", [branch_resistance_initial_flat, branch_resistance_final_flat]
+)
+def test_branch_refuses_a_non_number_by_name(branch, xi):
+    # the real-number rule runs before the half-open range test, so a str or
+    # None is a named ValueError, not a TypeError from the comparison
+    with pytest.raises(ValueError, match="^xi must be a finite number"):
+        branch(xi, ProblemSpec(r=1.0, H=0.4))
+
+
 def test_difference_matches_closed_form_randomly():
     rng = np.random.default_rng(13)
     for _ in range(1000):

@@ -278,6 +278,13 @@ def test_single_collision_rejects_a_tolerance_outside_the_unit_measure():
             single_collision_check(profile, ray_tol=tol)
 
 
+@pytest.mark.parametrize("tol", ["a", True, None, float("nan")])
+def test_single_collision_refuses_a_non_number_tolerance_by_name(tol):
+    profile = make_triangle(ProblemSpec(r=1.0, H=1.0))
+    with pytest.raises(ValueError, match="^ray_tol must be a finite number"):
+        single_collision_check(profile, ray_tol=tol)
+
+
 @pytest.mark.parametrize("n_samples", [True, 1000.0, -1, 1, MAX_SAMPLES + 1])
 def test_estimate_rejects_bad_sample_counts(n_samples):
     profile = make_triangle(ProblemSpec(r=1.0, H=1.0))

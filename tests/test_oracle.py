@@ -349,6 +349,55 @@ def test_dp_bounded_matches_gather_reference_bit_exactly(n, m, r, h_over_r, k, s
     assert _cell_rises(profile, spec, n, m) == ref_rises
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 40),
+    st.integers(1, 8),
+    st.integers(0, 24),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 3.0),
+    st.floats(0.0, 0.5),
+)
+def test_dp_bounded_tight_grid_matches_gather_reference_bit_exactly(
+    n, k, slack, r, h_over_r, extra
+):
+    # M within three k_max of N k_max: a contour has little room to wander,
+    # so the band's lower edge M - (N - i - 1) k_max binds from the first
+    # cells on and its upper edge M + (N - i - 1) k_max in the last ones
+    m = max(2, n * k - min(slack, 3 * k))
+    spec = ProblemSpec(r=r, H=h_over_r * r, variant=Variant.UNRESTRICTED)
+    config = DpConfig(n, m, (k + extra) * (spec.H / m) / (spec.r / n))
+    k_max, top, _ = _grid_extent(spec, config)
+    assert k_max == k
+    # the band never reaches top, so top's cap does not alter it
+    assert (m + n * k_max) // 2 <= top
+    ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+    value, profile = dp_min_resistance(spec, config)
+    ref_value, ref_rises = _gather_reference(spec, n, m, ks, top)
+    assert value == ref_value
+    assert _cell_rises(profile, spec, n, m) == ref_rises
+
+
+@pytest.mark.parametrize("bound, rows", [(2.0, 100_400), (5.0, 256_400), (10.0, 468_400)])
+def test_dp_bounded_evaluates_only_the_band(monkeypatch, bound, rows):
+    # the work of one bounded DP as a count of (min,+) rows: 400^2 at H = r
+    # evaluates sum_i (hi_i - lo_i + 1) levels, against N (top + 1) =
+    # 241200, 482400 and 884400 over every level 0..top
+    counted = []
+    product = oracle._product
+
+    def counting(window, b, ks, cols, values, rises):
+        counted.append(values.size)
+        product(window, b, ks, cols, values, rises)
+
+    monkeypatch.setattr(oracle, "_product", counting)
+    dp_min_resistance(
+        ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED), DpConfig(400, 400, bound)
+    )
+    assert len(counted) == 400
+    assert sum(counted) == rows
+
+
 def test_perturbation_config_validation():
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.0, trials=10, rng_seed=0)
