@@ -5,8 +5,11 @@ Closed-form solution families for the planar drag-minimization problem
 numerical oracles: grid dynamic programming, second-variation
 perturbation, and Monte Carlo particle collisions.
 
-The closed-form layer (geometry, functional, extremal, jsonio) needs no
-numpy and is imported eagerly.  The oracle and Monte Carlo names
+The closed-form layer (geometry, functional, extremal, jsonio) needs
+neither numpy nor dataclasses (which would load inspect, ast and dis) and
+is imported eagerly.  Its records are plain immutable classes on
+geometry.Record; the one dataclass, check_certificate's report, is
+imported on the first check.  The oracle and Monte Carlo names
 (``DpConfig``, ``dp_min_resistance``, ``estimate_resistance`` and the rest
 of ``_LAZY``) are bound on first use by a module ``__getattr__`` (PEP 562),
 so ``import newton2d`` and the closed-form CLI commands never import

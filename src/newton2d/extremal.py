@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING, Sequence
 
 from .functional import staircase_resistance, triangle_resistance
 from .geometry import (
     Profile,
     ProblemSpec,
+    Record,
     StaircaseParams,
     Variant,
     check_int,
@@ -27,6 +28,9 @@ from .geometry import (
     make_triangle,
     profile_to_dict,
 )
+
+if TYPE_CHECKING:
+    from .certificate import CertificateReport
 
 #: Slope where the second derivative of the Hamiltonian changes sign.
 SLOPE_THRESHOLD = math.sqrt(3.0) / 3.0
@@ -171,19 +175,24 @@ def classify_stationary(u: float) -> Classification:
     return Classification.LOCAL_MAX if u > SLOPE_THRESHOLD else Classification.LOCAL_MIN
 
 
-@dataclass(frozen=True)
-class ExtremalCertificate:
+class ExtremalCertificate(Record):
     """Pontryagin-extremal data: normalized multiplier pair and slope analysis."""
 
-    lam: float
-    stationary: tuple[float, ...]
-    classification: tuple[Classification, ...]
-    psi0: float = -1.0
+    _fields = ("lam", "stationary", "classification", "psi0")
 
-    def __post_init__(self) -> None:
-        check_real("lam", self.lam, positive=True)
-        if self.psi0 != -1.0:
+    def __init__(
+        self,
+        lam: float,
+        stationary: tuple[float, ...],
+        classification: tuple[Classification, ...],
+        psi0: float = -1.0,
+    ) -> None:
+        check_real("lam", lam, positive=True)
+        if psi0 != -1.0:
             raise ValueError("psi0 is normalized to -1")
+        self.__dict__.update(
+            lam=lam, stationary=stationary, classification=classification, psi0=psi0
+        )
 
     def psi(self, x: float) -> float:
         """Constant adjoint, identically -lambda."""
@@ -199,23 +208,33 @@ def make_certificate(lam: float) -> ExtremalCertificate:
     )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
-    """Outcome of the Hamiltonian maximality check for a profile's slopes."""
+#: Default tolerance of check_certificate on the Hamiltonian shortfall.
+CERTIFICATE_TOL = 1e-9
 
-    passed: bool
-    lam: float
-    worst_violation: float
-    h_max: float
-    segment_values: tuple[float, ...]
-    notes: tuple[str, ...] = ()
+
+@functools.cache
+def _report_type() -> type:
+    # a dataclass, loaded on the first check rather than with this module
+    from .certificate import CertificateReport
+
+    return CertificateReport
+
+
+def _hamiltonian_gap(
+    slopes: Sequence[float], lam: float
+) -> tuple[float, tuple[float, ...], float]:
+    # the largest Hamiltonian over the nonnegative slopes, its value at each
+    # of the given slopes, and the worst shortfall of one below that maximum
+    h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
+    values = tuple(hamiltonian(u, lam) for u in slopes)
+    return h_max, values, max(h_max - v for v in values)
 
 
 def check_certificate(
     profile: Profile,
     spec: ProblemSpec,
     lam: float,
-    tol: float = 1e-9,
+    tol: float = CERTIFICATE_TOL,
 ) -> CertificateReport:
     """Verify the maximality condition for every segment slope of a profile.
 
@@ -236,9 +255,7 @@ def check_certificate(
     class.  A lam or tol that the real-number rule refuses raises ValueError.
     """
     check_real("tol", tol, 0.0)
-    h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
-    values = tuple(hamiltonian(u, lam) for u in profile.slopes)
-    worst = max(h_max - v for v in values)
+    h_max, values, worst = _hamiltonian_gap(profile.slopes, lam)
     notes = []
     if spec.variant is Variant.UNRESTRICTED:
         notes.append(
@@ -246,7 +263,7 @@ def check_certificate(
             "slopes; the maximum is taken over nonnegative slopes only, so "
             "a pass is a local (one-sided) certificate"
         )
-    return CertificateReport(
+    return _report_type()(
         passed=worst <= tol,
         lam=lam,
         worst_violation=worst,
@@ -256,26 +273,39 @@ def check_certificate(
     )
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Record):
     """Solver outcome: minimizer family, drag value, certificate and notes."""
 
-    variant: Variant
-    status: SolutionStatus
-    minimal_resistance: float | None
-    representative_profiles: tuple[Profile, ...]
-    certificate: ExtremalCertificate | None
-    notes: tuple[str, ...] = ()
+    _fields = (
+        "variant",
+        "status",
+        "minimal_resistance",
+        "representative_profiles",
+        "certificate",
+        "notes",
+    )
 
-    def __post_init__(self) -> None:
-        if self.status is SolutionStatus.NO_SOLUTION and (
-            self.minimal_resistance is not None
-        ):
+    def __init__(
+        self,
+        variant: Variant,
+        status: SolutionStatus,
+        minimal_resistance: float | None,
+        representative_profiles: tuple[Profile, ...],
+        certificate: ExtremalCertificate | None,
+        notes: tuple[str, ...] = (),
+    ) -> None:
+        if status is SolutionStatus.NO_SOLUTION and minimal_resistance is not None:
             raise ValueError("no-solution reports carry no resistance value")
-        if self.status is SolutionStatus.INFINITE_FAMILY and (
-            len(self.representative_profiles) < 2
-        ):
+        if status is SolutionStatus.INFINITE_FAMILY and len(representative_profiles) < 2:
             raise ValueError("infinite-family reports need >= 2 representatives")
+        self.__dict__.update(
+            variant=variant,
+            status=status,
+            minimal_resistance=minimal_resistance,
+            representative_profiles=representative_profiles,
+            certificate=certificate,
+            notes=notes,
+        )
 
     def to_dict(self, spec: ProblemSpec) -> dict:
         return {
@@ -329,7 +359,9 @@ def solve(spec: ProblemSpec) -> SolutionReport:
     infinitely many slope-{0,1} staircases with drag r - H/2 for H < r,
     and at H = r the staircase family collapses to the straight contour.
     A restricted body so thin that a staircase rise rounds to zero width in
-    doubles (H/r about 1.1e-16 or less) is refused, naming H/r.
+    doubles (H/r about 1.1e-16 or less), or so far off slope 1 that a
+    representative fails the certificate it is printed with (at r = 1,
+    every H/r below about 1e-13 and some up to 2e-12), is refused, naming H/r.
     """
     if spec.dimension != 2:
         raise ValueError("closed-form solver covers dimension 2 only")
@@ -359,6 +391,16 @@ def solve(spec: ProblemSpec) -> SolutionReport:
             make_staircase(spec, fo_staircase_params(spec)),
             make_staircase(spec, _two_rise_params(spec)),
         )
+        # r - H rounds on a thin body, so a rise can miss slope 1 by more than
+        # the certificate at lambda = 1/2 allows: the body is then refused by
+        # name, as in _family_member, not printed beside a certificate it fails
+        worst = _hamiltonian_gap([u for p in reps for u in p.slopes], 0.5)[2]
+        if not worst <= CERTIFICATE_TOL:
+            raise ValueError(
+                f"H/r = {ratio!r} is too small to write in doubles: the representatives' "
+                f"slopes {[p.slopes for p in reps]} fail the certificate at lambda = 1/2 "
+                f"by {worst!r}"
+            )
         return SolutionReport(
             variant=spec.variant,
             status=SolutionStatus.INFINITE_FAMILY,
@@ -455,15 +497,32 @@ def enumerate_minimizers(
     ]
 
 
-@dataclass(frozen=True)
-class GradientReport:
+class GradientReport(Record):
     """Reduced gradient of the staircase drag at an interior parameter point."""
 
-    analytic: tuple[float, ...]
-    finite_difference: tuple[float, ...]
-    analytic_norm: float
-    finite_difference_norm: float
-    coordinate_names: tuple[str, ...]
+    _fields = (
+        "analytic",
+        "finite_difference",
+        "analytic_norm",
+        "finite_difference_norm",
+        "coordinate_names",
+    )
+
+    def __init__(
+        self,
+        analytic: tuple[float, ...],
+        finite_difference: tuple[float, ...],
+        analytic_norm: float,
+        finite_difference_norm: float,
+        coordinate_names: tuple[str, ...],
+    ) -> None:
+        self.__dict__.update(
+            analytic=analytic,
+            finite_difference=finite_difference,
+            analytic_norm=analytic_norm,
+            finite_difference_norm=finite_difference_norm,
+            coordinate_names=coordinate_names,
+        )
 
 
 def staircase_gradient_check(

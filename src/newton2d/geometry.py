@@ -11,7 +11,6 @@ from __future__ import annotations
 import bisect
 import math
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -23,21 +22,60 @@ class Variant(Enum):
     RESTRICTED = "restricted"
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class Record:
+    """Immutable value record: the part of a frozen dataclass this package uses.
+
+    A subclass lists its field names, in order, in _fields; its __init__
+    sets each field once by updating the instance __dict__, since plain
+    assignment raises.  Two records are equal when they are of the same
+    class and have equal field tuples; a record hashes as its field tuple
+    and prints as Name(field=value!r, ...).  Assigning or deleting any
+    attribute raises AttributeError.  Instances keep their __dict__, so
+    functools.cached_property, pickle and copy work as for a plain class.
+
+    Records are not dataclasses, so dataclasses.replace, asdict and fields
+    do not apply to them.  Every CLI command imports this layer, and
+    dataclasses would load inspect, ast and dis with it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ProblemSpec(Record):
     """Base half-width r, height H, slope-control variant and dimension tag."""
 
-    r: float
-    H: float
-    variant: Variant = Variant.RESTRICTED
-    dimension: int = 2
+    _fields = ("r", "H", "variant", "dimension")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.variant, str):
-            object.__setattr__(self, "variant", Variant(self.variant))
-        check_real("r", self.r, positive=True)
-        check_real("H", self.H, positive=True)
-        check_int("dimension", self.dimension, 2, 3)
+    def __init__(
+        self, r: float, H: float, variant: Variant = Variant.RESTRICTED, dimension: int = 2
+    ) -> None:
+        if isinstance(variant, str):
+            variant = Variant(variant)
+        check_real("r", r, positive=True)
+        check_real("H", H, positive=True)
+        check_int("dimension", dimension, 2, 3)
+        self.__dict__.update(r=r, H=H, variant=variant, dimension=dimension)
 
 
 def check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
@@ -85,8 +123,7 @@ def check_seed(rng_seed: int) -> None:
     check_int("rng_seed", rng_seed, 0)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Record):
     """Piecewise-linear contour given by its breakpoints.
 
     Breakpoints are finite and their x-coordinates strictly increasing; a
@@ -95,15 +132,15 @@ class Profile:
     that overflows, such as a rise of 1e10 over 1e-300: every drag, sample
     and reflection is computed from them.  Instances are immutable, so xs,
     ys and slopes are computed once per instance and cached; the cache lives in
-    the instance dict, outside the dataclass fields, so equality, hashing
-    and repr still see the breakpoints alone.
+    the instance dict, outside _fields, so equality, hashing and repr still
+    see the breakpoints alone.
     """
 
-    breakpoints: tuple[tuple[float, float], ...]
+    _fields = ("breakpoints",)
 
-    def __post_init__(self) -> None:
-        pts = tuple((float(x), float(y)) for x, y in self.breakpoints)
-        object.__setattr__(self, "breakpoints", pts)
+    def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
+        pts = tuple((float(x), float(y)) for x, y in breakpoints)
+        self.__dict__.update(breakpoints=pts)
         if len(pts) < 2:
             raise ValueError("profile needs at least two breakpoints")
         for x, y in pts:
@@ -151,8 +188,7 @@ class Profile:
         return self.slopes[self.segment_index(x)]
 
 
-@dataclass(frozen=True)
-class StaircaseParams:
+class StaircaseParams(Record):
     """Breakpoint parameters (xi, mu) of an alternating flat/rise contour.
 
     xi has 2n+2 entries 0 = xi[0] <= ... <= xi[2n+1]; mu has n+1 entries
@@ -160,13 +196,12 @@ class StaircaseParams:
     mu[i]; rise i spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
     """
 
-    n: int
-    xi: tuple[float, ...]
-    mu: tuple[float, ...]
+    _fields = ("n", "xi", "mu")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "xi", tuple(float(v) for v in self.xi))
-        object.__setattr__(self, "mu", tuple(float(v) for v in self.mu))
+    def __init__(self, n: int, xi: tuple[float, ...], mu: tuple[float, ...]) -> None:
+        self.__dict__.update(
+            n=n, xi=tuple(float(v) for v in xi), mu=tuple(float(v) for v in mu)
+        )
         check_int("n", self.n, 1)
         if len(self.xi) != 2 * self.n + 2:
             raise ValueError(
@@ -207,20 +242,21 @@ class StaircaseParams:
         )
 
 
-@dataclass(frozen=True)
-class CounterexampleParams:
+class CounterexampleParams(Record):
     """Slope magnitude of the up/down wedge showing unbounded improvement."""
 
-    a: float
+    _fields = ("a",)
 
-    def __post_init__(self) -> None:
-        check_real("a", self.a, positive=True)
+    def __init__(self, a: float) -> None:
+        check_real("a", a, positive=True)
+        self.__dict__.update(a=a)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    ok: bool
-    issues: tuple[str, ...] = ()
+class ValidationResult(Record):
+    _fields = ("ok", "issues")
+
+    def __init__(self, ok: bool, issues: tuple[str, ...] = ()) -> None:
+        self.__dict__.update(ok=ok, issues=issues)
 
 
 def make_triangle(spec: ProblemSpec) -> Profile:

@@ -529,6 +529,41 @@ def test_closed_form_commands_do_not_load_oracles(tmp_path):
     assert loaded == []
 
 
+_START_UP_MODULES = ("dataclasses", "inspect")
+
+_RUN_COMMANDS_AFTER_IMPORT = """
+import contextlib, io, json, sys
+import newton2d
+loaded = [[m for m in %r if m in sys.modules]]
+from newton2d.cli import main
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+loaded.append([m for m in %r if m in sys.modules])
+print(json.dumps(loaded))
+""" % (_START_UP_MODULES, _START_UP_MODULES)
+
+
+def test_closed_form_commands_do_not_load_dataclasses(tmp_path):
+    # dataclasses brings inspect, ast and dis; the closed-form records are
+    # plain classes so that every CLI command starts without them
+    profile = str(_write_profile(tmp_path, H=0.7))
+    commands = [
+        _solve("1", "0.4", "restricted"),
+        _solve("1", "1", "restricted"),
+        _solve("1", "2", "restricted"),
+        _solve("1", "1.5", "unrestricted"),
+        _solve("1", "0.4", "unrestricted"),
+        ["eval", "--profile", profile, "--dim", "3"],
+        ["export-svg", "--profile", profile, "--out", str(tmp_path / "p.svg")],
+        _solve("-1", "0.4", "restricted"),
+    ]
+    proc = _run_python("-c", _RUN_COMMANDS_AFTER_IMPORT, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], []]
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -641,6 +676,7 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
           "--eps", "nan"], "epsilon"),
         (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
         (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
+        (["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"], "H/r = 1e-16"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):

@@ -513,7 +513,33 @@ def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
         enumerate_minimizers(ProblemSpec(r=1.0, H=1e-15), 3, 20, 1)
 
 
+@pytest.mark.parametrize("H", [1e-16, 1e-14, 1e-12])
+def test_solve_refuses_a_body_whose_representatives_fail_their_certificate(H):
+    # r - H rounds, so the flat-then-rise rise (and at 1e-12 the two-rise
+    # member's) misses slope 1 by more than the certificate allows
+    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} is too small")):
+        solve(ProblemSpec(r=1.0, H=H))
+
+
 def test_solve_still_writes_the_smallest_staircases_that_fit_in_doubles():
-    report = solve(ProblemSpec(r=1.0, H=1e-16))
+    spec = ProblemSpec(r=1.0, H=1e-11)
+    report = solve(spec)
     assert report.status is SolutionStatus.INFINITE_FAMILY
     assert len(report.representative_profiles) == 3
+    assert all(check_certificate(p, spec, 0.5).passed for p in report.representative_profiles)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.7, 1e-3])
+def test_thin_bodies_are_refused_or_certified(r):
+    # H/r on a log grid from 1e-17 to 1, ten points a decade: solve either
+    # refuses the body by name or prints representatives that all pass
+    for k in range(-170, 1):
+        spec = ProblemSpec(r=r, H=r * 10.0 ** (k / 10))
+        try:
+            report = solve(spec)
+        except ValueError as exc:
+            assert f"H/r = {spec.H / spec.r!r} is too small" in str(exc)
+            assert spec.H / spec.r < 1e-10
+            continue
+        for profile in report.representative_profiles:
+            assert check_certificate(profile, spec, report.certificate.lam).passed, spec
