@@ -441,8 +441,10 @@ def enumerate_minimizers(
     Dirichlet(1, ..., 1) weights for its n rises (none when n = 1) and then
     for its n + 1 flats (none when H = r).  Every member evaluates to
     r - H/2 and passes the certificate check at lambda = 1/2.  n and count
-    pass the integer rule (>= 1), rng_seed geometry.check_seed; a member
-    whose rise rounds to zero width is refused, as in solve.
+    pass the integer rule (>= 1), rng_seed geometry.check_seed.  As in
+    solve, a body is refused, naming H/r, when a member's rise rounds to
+    zero width or so far off slope 1 that the member would fail that
+    certificate (with n = 3, one of 50 members already at H/r = 1e-10).
 
     numpy's Dirichlet(1, ..., 1) draws one standard exponential per weight
     (a Gamma(1) variate is one), sums them left to right and scales each
@@ -491,6 +493,23 @@ def enumerate_minimizers(
     mu = np.zeros((count, n + 1))
     np.cumsum(widths[:, 1::2], axis=1, out=mu[:, 1:])
     mu[:, -1] = spec.H
+    # r - H and the cumulative sums round on a thin body, so a rise can miss
+    # slope 1 by more than the certificate at lambda = 1/2 allows: the body
+    # is then refused by name, as in solve.  Every rise's Hamiltonian is
+    # formed at once (numpy rounds as hamiltonian does), and the smallest is
+    # the family's worst shortfall; a rise of no width is no segment, and the
+    # flats' slope 0 is a maximizer
+    run = xi[:, 2 : 2 * n + 1 : 2] - xi[:, 1 : 2 * n : 2]
+    keep = run > 0.0
+    slopes = np.diff(mu, axis=1)[keep] / run[keep]
+    if slopes.size:
+        u = float(slopes[np.argmin(-1.0 / (1.0 + slopes * slopes) - 0.5 * slopes)])
+        worst = _hamiltonian_gap((u,), 0.5)[2]
+        if not worst <= CERTIFICATE_TOL:
+            raise ValueError(
+                f"H/r = {spec.H / spec.r!r} is too small to write in doubles: a member's "
+                f"rise slope {u!r} fails the certificate at lambda = 1/2 by {worst!r}"
+            )
     return [
         _family_member(spec, n, tuple(x), tuple(m))
         for x, m in zip(xi.tolist(), mu.tolist())

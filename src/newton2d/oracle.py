@@ -20,7 +20,8 @@ from .geometry import Profile, ProblemSpec, Variant, check_int, check_real, chec
 
 #: Most elements dp_min_resistance lets one of its tables hold: the sums of
 #: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
-#: 128 MiB).  A larger grid is refused before anything is built.
+#: 128 MiB).  A restricted product counts as (M+1)^2 sums, an upper bound on
+#: the triangle it forms.  A larger grid is refused before anything is built.
 MAX_TABLE_ELEMENTS = 2**25
 
 #: Most sums one row block of a DP (min,+) product holds (512 KiB of
@@ -115,13 +116,28 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     does not depend on the order of the cells, so the grid optimum is the
     N-th (min,+) power of c.  It is computed by exponentiation by squaring:
     at most 2 floor(log2 N) products, O(M^2 log N) time, and one (M+1) rise
-    array per product, O(M log N) storage.  K's tie order is M..0, so a tie
-    goes to the right factor's largest share, i.e. the smallest share of
-    the left factor.  The backtrack yields the multiset of N rises; the
-    profile takes them flattest first (canonical and optimal, as any order
-    is), which gives at most one segment per distinct slope.  The value is
-    summed along the product tree, so it differs from a cell-by-cell sum
-    only by rounding.
+    array per product, O(M log N) storage.  Each product multiplies a power
+    a of the cell into the result b so far, or squares a (b = a).  K's tie
+    order is 0..M, so a tie gives b its smallest share and a its largest.
+    A product forms only the sums that can win:
+
+    * row j reads shares k <= j, since level j - k < 0 is unreachable: the
+      triangle of (M+1)(M+2)/2 sums, not the (M+1)^2 of full rows;
+    * a square (a = b) reads only b's shares k <= floor(j/2).  Its sums
+      a[j-k] + a[k] and a[k] + a[j-k] are one double (IEEE addition
+      commutes), so a minimum at k is also one at j - k, and the smallest
+      minimizing share, the one the tie rule picks, is at most j/2: value
+      and share are those of the full row, over about (M+1)^2/4 sums;
+    * the last product forms row M only, the one row the backtrack reads.
+
+    A row block takes the columns its last row reaches, a rectangle over its
+    part of the triangle, so each product stays within DP_BLOCK sums a
+    block.  At N = M = 400 (eight squares and two other products) that is
+    655887 sums, against 10 * 401^2 = 1608010 over full rows.  The
+    backtrack yields the multiset of N rises; the profile takes them
+    flattest first (canonical and optimal, as any order is), which gives at
+    most one segment per distinct slope.  The value is summed along the
+    product tree, so it differs from a cell-by-cell sum only by rounding.
 
     Unrestricted, K = {k : |k * dh / dx| <= slope_bound}: rises may be
     negative, and the contour must stay within the levels 0..top at every
@@ -152,9 +168,10 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     reproducible.
 
     A grid whose largest table would exceed MAX_TABLE_ELEMENTS is refused,
-    by arithmetic, before anything is allocated: the (M+1)^2 sums of one
-    restricted product, or the larger of the unrestricted N x (top+1) rise
-    table and the (top+1) x |K| sums of one product.
+    by arithmetic, before anything is allocated: the (M+1)^2 sums of full
+    rows, an upper bound on one restricted product, or the larger of the
+    unrestricted N x (top+1) rise table and the (top+1) x |K| sums of one
+    product.
     """
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
@@ -168,9 +185,8 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
             "n_cells or n_levels, or a smaller slope_bound"
         )
     if restricted:
-        # tie order M..0: the right factor's largest share first, so a tie
-        # gives the left factor its smallest share
-        ks = np.arange(m, -1, -1)
+        # the rise of each cell cost, and each product's shares (see _square)
+        ks = np.arange(m + 1)
     else:
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
     slope = ks * (dh / dx)
@@ -190,7 +206,8 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
     # the largest table dp_min_resistance would build, by arithmetic alone
     n, m = config.n_cells, config.n_levels
     if spec.variant is Variant.RESTRICTED:
-        # squaring forms (M+1) x (M+1) sums per product
+        # a product forms at most the triangle of (M+1)(M+2)/2 sums; the cap
+        # counts the (M+1) x (M+1) full rows above it, an upper bound
         return m, m, (m + 1) ** 2
     if config.slope_bound <= 0.0:
         raise ValueError("unrestricted DP requires a positive slope_bound")
@@ -229,29 +246,42 @@ def _product(window, b, ks, cols, values, rises) -> None:
 
 def _square(cell_cost, ks, n):
     # restricted schedule: the N-th power of one cell by squaring, since the
-    # order of the rises does not matter.  K = M..0, so the window over the
-    # left factor, padded with M below, takes its columns as a plain slice
-    # and the right factor enters reversed (copied, so that the sums run
-    # over contiguous memory).  A factor is (values, tree).
+    # order of the rises does not matter.  A factor is (values, tree), and
+    # ks = 0..M.  multiply(a, b) sends its rows through _product with a
+    # window over a, reversed and padded with +inf above, whose row j holds
+    # a[j - k] at column k, with b as the vector and ks as b's shares; so
+    # np.argmin's first minimum is b's smallest share.  Row j reads the
+    # shares k <= j, or k <= j // 2 in a square (see dp_min_resistance),
+    # and a row block only the columns its last row reaches.  The last
+    # product forms row M alone; rows left out hold +inf.
     m = ks.size - 1
     pad = np.full(m, np.inf)
 
-    def multiply(x, y):
-        values = np.empty(m + 1)
-        rises = np.empty(m + 1, dtype=np.int32)
-        window = sliding_window_view(np.concatenate((pad, x[0])), m + 1)
-        _product(window, y[0][::-1].copy(), ks, slice(None), values, rises)
-        return values, (x[1], y[1], rises)
+    def multiply(a, b, last):
+        square = a is b
+        values = np.full(m + 1, np.inf)
+        rises = np.zeros(m + 1, dtype=np.int32)
+        window = sliding_window_view(np.concatenate((a[0][::-1], pad)), m + 1)[::-1]
+        step = max(1, DP_BLOCK // (m // 2 + 1 if square else m + 1))
+        for lo in range(m if last else 0, m + 1, step):
+            hi = min(lo + step, m + 1)
+            width = (hi - 1) // 2 + 1 if square else hi
+            _product(
+                window[lo:hi], b[0][:width], ks[:width], slice(width),
+                values[lo:hi], rises[lo:hi],
+            )
+        return values, (a[1], b[1], rises)
 
-    power = (cell_cost[::-1], None)
+    power = (cell_cost, None)
     result = None
     while True:
         if n & 1:
-            result = power if result is None else multiply(result, power)
+            result = power if result is None else multiply(power, result, n == 1)
         n >>= 1
         if not n:
             return result
-        power = multiply(power, power)
+        # with no result yet, the square before the top bit is the last product
+        power = multiply(power, power, n == 1 and result is None)
 
 
 def _chain(cell_cost, ks, n, m, top):
@@ -339,8 +369,10 @@ def second_variation_test(
     SeedSequence, and its draws fill one row of a trials x (mesh + 1) edge
     array and a trials x mesh phi array; sorting, differencing and the
     element-wise arithmetic then run once over all rows.  The three sums of
-    a trial (the recentering, dR and int phi^2) stay one np.dot per row, so
-    the report is bit for bit that of a trial-by-trial loop.
+    a trial (the recentering, dR and int phi^2) are math.fsum of the
+    element-wise products, correctly rounded, so their bits depend on IEEE
+    products alone: not on the BLAS kernel the CPU selects, nor on the order
+    of the terms.
     """
     r = profile.breakpoints[-1][0]
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
@@ -368,14 +400,14 @@ def second_variation_test(
     phi *= 2.0
     phi -= 1.0
 
-    def row_dots(a, b):
-        # one np.dot per row, as for a single trial, so every sum keeps its order
-        return np.array([np.dot(x, y) for x, y in zip(a, b)])
+    def row_sums(a, b):
+        # each row's sum of a * b, correctly rounded
+        return np.array([math.fsum(row) for row in (a * b).tolist()])
 
-    phi -= (row_dots(phi, widths) / r)[:, None]
+    phi -= (row_sums(phi, widths) / r)[:, None]
     perturbed = s + eps * phi
-    deltas = row_dots(widths, 1.0 / (1.0 + perturbed * perturbed) - base)
-    ratios = deltas / (0.5 * eps * eps * row_dots(widths, phi * phi))
+    deltas = row_sums(widths, 1.0 / (1.0 + perturbed * perturbed) - base)
+    ratios = deltas / (0.5 * eps * eps * row_sums(widths, phi * phi))
     expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
     return PerturbationReport(
         base_slope=s,

@@ -722,3 +722,35 @@ def test_verify_mc_rejects_a_negative_seed_in_a_fresh_interpreter(seed):
     assert proc.stdout == ""
     assert proc.stderr == f"error: rng_seed must be a non-negative int, got {seed}\n"
 
+
+def _openblas_kernels():
+    # OpenBLAS kernels this CPU can run, by the instruction set each needs;
+    # none when numpy is not linked to OpenBLAS or the flags cannot be read
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        flags = set(Path("/proc/cpuinfo").read_text().split())
+    except (KeyError, OSError, TypeError):
+        return []
+    if "openblas" not in blas.lower():
+        return []
+    needs = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx"}
+    return [kernel for kernel, flag in needs.items() if flag in flags]
+
+
+def test_perturbation_stdout_does_not_depend_on_the_blas_kernel(monkeypatch):
+    # OpenBLAS picks its ddot kernel per CPU; the perturbation sums are
+    # fsums, so every kernel prints the same bytes
+    kernels = _openblas_kernels()
+    if len(kernels) < 2:
+        pytest.skip("needs numpy on OpenBLAS and two kernels this CPU runs")
+    argv = ["-m", "newton2d.cli", "verify", "--r", "1", "--H", "1.5",
+            "--variant", "unrestricted", "--oracle", "perturb"]
+    outputs = set()
+    for kernel in kernels:
+        monkeypatch.setenv("OPENBLAS_CORETYPE", kernel)
+        proc = _run_python(*argv)
+        assert proc.returncode == 0, proc.stderr
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1

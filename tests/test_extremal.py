@@ -513,6 +513,34 @@ def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
         enumerate_minimizers(ProblemSpec(r=1.0, H=1e-15), 3, 20, 1)
 
 
+@pytest.mark.parametrize("H", [1e-13, 1e-11, 1e-10])
+def test_enumerate_refuses_a_family_whose_members_fail_their_certificate(H):
+    # with n = 3, seed 1, 49, 6 and 1 of the 50 members have a rise that
+    # misses slope 1 by more than the certificate at lambda = 1/2 allows
+    spec = ProblemSpec(r=1.0, H=H)
+    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} is too small")):
+        enumerate_minimizers(spec, 3, 50, 1)
+
+
+@pytest.mark.parametrize("r", [1.0, 3.7, 1e-3])
+def test_thin_families_are_refused_or_certified(r):
+    # H/r on a log grid from 1e-15 to 1, five points a decade: the family is
+    # refused by name or every member passes its certificate, and a family
+    # that is drawn keeps the bits of the per-member reference
+    for k in range(-75, 1):
+        spec = ProblemSpec(r=r, H=r * 10.0 ** (k / 5))
+        for n in (1, 3):
+            try:
+                members = enumerate_minimizers(spec, n, 50, 1)
+            except ValueError as exc:
+                assert f"H/r = {spec.H / spec.r!r} is too small" in str(exc)
+                assert spec.H / spec.r < 1e-9
+                continue
+            assert members == _reference_minimizers(spec, n, 50, 1)
+            for params in members:
+                assert check_certificate(make_staircase(spec, params), spec, 0.5).passed, spec
+
+
 @pytest.mark.parametrize("H", [1e-16, 1e-14, 1e-12])
 def test_solve_refuses_a_body_whose_representatives_fail_their_certificate(H):
     # r - H rounds, so the flat-then-rise rise (and at 1e-12 the two-rise

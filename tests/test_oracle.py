@@ -5,6 +5,7 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,16 +183,18 @@ def test_dp_output_does_not_depend_on_the_block_size(monkeypatch, block):
 
 
 def test_dp_product_memory_is_bounded_by_the_block():
-    # one product over 4001 levels forms 4001^2 sums (128 MB) in all; row
-    # blocks hold at most DP_BLOCK of them (512 KiB) besides O(M) vectors
-    tracemalloc.start()
-    try:
-        dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(2, 4000))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # at N = 3 the square over 4001 levels forms about 4001^2 / 4 sums
+    # (32 MB) in all; row blocks hold at most DP_BLOCK of them (512 KiB)
+    # besides O(M) vectors.  At N = 2 the only product is the last, one row
+    for n in (2, 3):
+        tracemalloc.start()
+        try:
+            dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(n, 4000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
     assert oracle.DP_BLOCK == 2**16
-    assert peak < 4 * 2**20
 
 
 def test_dp_backtrack_refuses_an_unreached_level():
@@ -398,6 +401,112 @@ def test_dp_bounded_evaluates_only_the_band(monkeypatch, bound, rows):
     assert sum(counted) == rows
 
 
+def _full_row_square(cell_cost, n):
+    # the restricted schedule with full rows: every product forms all
+    # (M+1)^2 sums a[j - k] + b[k], the shares k > j reading an +inf pad,
+    # with b's share in the tie order M..0; its tree is (a, b, b's shares)
+    m = cell_cost.size - 1
+    ks = np.arange(m, -1, -1)
+    pad = np.full(m, np.inf)
+
+    def multiply(x, y):
+        window = sliding_window_view(np.concatenate((pad, x[0])), m + 1)
+        total = window + y[0][::-1]
+        t = total.argmin(axis=1)
+        return total[np.arange(m + 1), t], (x[1], y[1], ks[t])
+
+    power = (cell_cost, None)
+    result = None
+    while True:
+        if n & 1:
+            result = power if result is None else multiply(result, power)
+        n >>= 1
+        if not n:
+            return result
+        power = multiply(power, power)
+
+
+def _restricted_costs(spec, n, m):
+    dx, dh = spec.r / n, spec.H / m
+    slope = np.arange(m + 1) * (dh / dx)
+    return dx / (1.0 + slope * slope)
+
+
+def _assert_square_matches_full_rows(cell_cost, n):
+    m = cell_cost.size - 1
+    values, tree = oracle._square(cell_cost, np.arange(m + 1), n)
+    ref_values, ref_tree = _full_row_square(cell_cost, n)
+    assert values[m] == ref_values[m]
+    rises = sorted(_backtrack(tree, values, m))
+    assert rises == sorted(_backtrack(ref_tree, ref_values, m))
+    return float(values[m]), rises
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    n=st.one_of(st.sampled_from([2, 3]), st.sampled_from([2**e for e in range(2, 10)]),
+                st.integers(2, 600)),
+    m=st.integers(2, 150),
+    r=st.floats(0.5, 2.0),
+    h_over_r=st.floats(0.01, 3.0),
+)
+def test_dp_restricted_product_matches_full_rows_bit_for_bit(n, m, r, h_over_r):
+    # the triangle, the folded squares and the one-row last product give the
+    # value, the rise multiset and the breakpoints of full-row products
+    spec = ProblemSpec(r=r, H=h_over_r * r)
+    ref_value, rises = _assert_square_matches_full_rows(_restricted_costs(spec, n, m), n)
+    value, profile = dp_min_resistance(spec, DpConfig(n, m))
+    assert value == ref_value
+    assert profile.breakpoints == oracle._grid_profile(spec, n, m, rises).breakpoints
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 8, 13, 64, 100])
+@pytest.mark.parametrize("m", [2, 6, 7, 40, 121])
+def test_dp_restricted_ties_go_where_full_rows_send_them(n, m):
+    # every slope costs exactly dx at H/r = 1e-12 (u^2 rounds off 1 + u^2),
+    # so every split of every level ties; on small integer costs sums are
+    # exact, so shares k and j - k tie wherever their costs mirror, and
+    # splits into different multisets tie too, which only the tie rule
+    # (the result's smallest share, the power's largest) separates
+    spec = ProblemSpec(r=1.0, H=1e-12)
+    costs = _restricted_costs(spec, n, m)
+    assert len(set(costs.tolist())) == 1
+    _assert_square_matches_full_rows(costs, n)
+    _assert_square_matches_full_rows((np.arange(m + 1) - m // 2) ** 2.0, n)
+    _assert_square_matches_full_rows(np.abs(np.arange(m + 1) - m / 2.0), n)
+    rng = np.random.default_rng(1000 * n + m)
+    for _ in range(25):
+        _assert_square_matches_full_rows(rng.integers(0, 4, m + 1).astype(float), n)
+
+
+def test_dp_restricted_tie_between_multisets():
+    # level 6 in three cells: {0, 3, 3} and {1, 1, 4} both cost 0; the last
+    # product gives the result, one cell, its smallest share, so the power
+    # c*c takes level 6 as 3 + 3, not level 2 beside a cell at 4
+    costs = np.array([0.0, 0.0, 2.0, 0.0, 0.0, 2.0, 2.0])
+    assert _assert_square_matches_full_rows(costs, 3) == (0.0, [0, 3, 3])
+
+
+def test_dp_restricted_forms_only_the_sums_it_can_use(monkeypatch):
+    # 400^2: eight squares over k <= j // 2 and one product over k <= j,
+    # each in row blocks of the columns their last row reaches, and the last
+    # product's row M alone: 655887 sums, against 10 * 401^2 = 1608010 over
+    # full rows; no block holds more than DP_BLOCK of them
+    counted = []
+    product = oracle._product
+
+    def counting(window, b, ks, cols, values, rises):
+        counted.append(values.size * ks.size)
+        product(window, b, ks, cols, values, rises)
+
+    monkeypatch.setattr(oracle, "_product", counting)
+    dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(400, 400))
+    assert sum(counted) == 655_887
+    assert len(counted) == 20
+    assert counted[-1] == 401
+    assert max(counted) <= oracle.DP_BLOCK
+
+
 def test_perturbation_config_validation():
     with pytest.raises(ValueError):
         PerturbationConfig(epsilon=0.0, trials=10, rng_seed=0)
@@ -486,7 +595,9 @@ def test_finite_difference_gradient_on_polynomial():
 
 
 def _reference_second_variation(profile, spec, config):
-    # the trial-by-trial loop second_variation_test replaced
+    # the trial-by-trial loop second_variation_test replaced, with each sum
+    # correctly rounded by math.fsum (the loop summed with np.dot, whose bits
+    # depend on the BLAS kernel)
     r = profile.breakpoints[-1][0]
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
         r - profile.breakpoints[0][0]
@@ -501,10 +612,10 @@ def _reference_second_variation(profile, spec, config):
         edges = np.concatenate([[0.0], cuts, [r]])
         widths = np.diff(edges)
         phi = rng.uniform(-1.0, 1.0, config.mesh)
-        phi -= float(np.dot(phi, widths)) / r
+        phi -= math.fsum((phi * widths).tolist()) / r
         perturbed = s + eps * phi
-        delta = float(np.dot(widths, 1.0 / (1.0 + perturbed * perturbed) - base))
-        quad = 0.5 * eps * eps * float(np.dot(widths, phi * phi))
+        delta = math.fsum((widths * (1.0 / (1.0 + perturbed * perturbed) - base)).tolist())
+        quad = 0.5 * eps * eps * math.fsum((widths * (phi * phi)).tolist())
         deltas[t] = delta
         ratios[t] = delta / quad
     expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
