@@ -9,6 +9,7 @@ significant digits.  Exit codes: 0 success, 1 usage or input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -133,10 +134,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
     spec = _problem_spec(args)
     report = extremal.solve(spec)
     text = jsonio.dumps(report.to_dict(spec))
-    sys.stdout.write(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
     if report.status is extremal.SolutionStatus.NO_SOLUTION:
         return EXIT_NO_SOLUTION
     return EXIT_OK
@@ -151,38 +152,42 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _verify_dp(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
+#: A verifier's run: its oracle's checks, formed once every flag has passed.
+_Run = Callable[[], list[dict]]
+
+
+def _check(claim: str, expected, observed, tolerance: float) -> dict:
+    # one verify check; a bool compares as 0 or 1, so tolerance 0 asks for equality
+    return {
+        "claim": claim,
+        "expected": expected,
+        "observed": observed,
+        "tolerance": tolerance,
+        "pass": abs(observed - expected) <= tolerance,
+    }
+
+
+def _verify_dp(spec: ProblemSpec, args: argparse.Namespace, solved: Callable) -> _Run:
     from . import oracle
 
     if spec.variant is Variant.RESTRICTED:
-        expected = extremal.solve(spec).minimal_resistance
+        b = 0.0
+        expected = solved().minimal_resistance
         claim = "restricted DP minimum matches the closed-form minimum of solve"
-        config = oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
     else:
         b = args.slope_bound
         expected = spec.r / (1.0 + b * b)
         claim = f"slope-bounded (B={b}) unrestricted DP minimum matches r/(1+B^2)"
-        config = oracle.DpConfig(
-            n_cells=args.cells, n_levels=args.levels, slope_bound=b
-        )
+    config = oracle.DpConfig(n_cells=args.cells, n_levels=args.levels, slope_bound=b)
 
     def run() -> list[dict]:
         value, _ = oracle.dp_min_resistance(spec, config)
-        tol = 0.01 * spec.r
-        return [
-            {
-                "claim": claim,
-                "expected": expected,
-                "observed": value,
-                "tolerance": tol,
-                "pass": abs(value - expected) <= tol,
-            }
-        ]
+        return [_check(claim, expected, value, 0.01 * spec.r)]
 
     return run
 
 
-def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
+def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace, solved: Callable) -> _Run:
     from . import oracle
 
     config = oracle.PerturbationConfig(
@@ -190,48 +195,38 @@ def _verify_perturb(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[],
     )
 
     def run() -> list[dict]:
-        s = spec.H / spec.r
         report = oracle.second_variation_test(make_triangle(spec), spec, config)
-        entries = [
-            {
-                "claim": "perturbation ratio matches integrand curvature f''(H/r)",
-                "expected": report.expected_ratio,
-                "observed": report.mean_ratio,
-                "tolerance": 0.05 * abs(report.expected_ratio),
-                "pass": abs(report.mean_ratio - report.expected_ratio)
-                <= 0.05 * abs(report.expected_ratio),
-            }
-        ]
-        threshold = extremal.SLOPE_THRESHOLD
-        if abs(s - threshold) > 1e-9:
-            expect_min = s > threshold
-            observed_positive = report.min_delta > 0.0
-            entries.append(
-                {
-                    "claim": (
-                        "straight contour is a weak local minimum"
-                        if expect_min
-                        else "straight contour admits drag-decreasing perturbations"
-                    ),
-                    "expected": expect_min,
-                    "observed": observed_positive,
-                    "tolerance": 0.0,
-                    "pass": observed_positive == expect_min,
-                }
+        expected = report.expected_ratio
+        checks = [
+            _check(
+                "perturbation ratio matches integrand curvature f''(H/r)",
+                expected, report.mean_ratio, 0.05 * abs(expected),
             )
-        return entries
+        ]
+        # a local maximum of the Hamiltonian at s = H/r is a weak local
+        # minimum of the drag; at the inflection the sign is not asserted
+        kind = extremal.classify_stationary(spec.H / spec.r)
+        if kind is not extremal.Classification.INFLECTION:
+            expect_min = kind is extremal.Classification.LOCAL_MAX
+            claim = (
+                "straight contour is a weak local minimum"
+                if expect_min
+                else "straight contour admits drag-decreasing perturbations"
+            )
+            checks.append(_check(claim, expect_min, report.min_delta > 0.0, 0.0))
+        return checks
 
     return run
 
 
-def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list[dict]]:
+def _verify_mc(spec: ProblemSpec, args: argparse.Namespace, solved: Callable) -> _Run:
     from . import montecarlo
 
     montecarlo.check_sample_count(args.samples)
     check_seed(args.seed)
 
     def run() -> list[dict]:
-        report = extremal.solve(spec)
+        report = solved()
         if report.status is extremal.SolutionStatus.NO_SOLUTION:
             profile = make_triangle(spec)
             expected = functional.triangle_resistance(spec)
@@ -243,15 +238,7 @@ def _verify_mc(spec: ProblemSpec, args: argparse.Namespace) -> Callable[[], list
         estimate = montecarlo.estimate_resistance(profile, args.samples, args.seed)
         # a floor relative to r, so that a tiny body is still checked
         tol = max(3.0 * estimate.std_error, 1e-9 * spec.r)
-        return [
-            {
-                "claim": claim,
-                "expected": expected,
-                "observed": estimate.estimate,
-                "tolerance": tol,
-                "pass": abs(estimate.estimate - expected) <= tol,
-            }
-        ]
+        return [_check(claim, expected, estimate.estimate, tol)]
 
     return run
 
@@ -262,16 +249,19 @@ _VERIFIERS = {"dp": _verify_dp, "perturb": _verify_perturb, "mc": _verify_mc}
 def cmd_verify(args: argparse.Namespace) -> int:
     spec = _problem_spec(args)
     names = _VERIFIERS if args.oracle == "all" else (args.oracle,)
+    # solve runs once, and only for the checks that read it: the
+    # perturbation oracle runs on bodies that solve refuses
+    solved = functools.cache(lambda: extremal.solve(spec))
     # each verifier builds its config and returns its run, so that every
     # flag is checked before the first oracle runs
-    runs = [_VERIFIERS[name](spec, args) for name in names]
+    runs = [_VERIFIERS[name](spec, args, solved) for name in names]
     checks = [check for run in runs for check in run()]
     payload = {"checks": checks, "pass": all(c["pass"] for c in checks)}
     sys.stdout.write(jsonio.dumps(payload))
     return EXIT_OK if payload["pass"] else EXIT_VERIFY_FAILED
 
 
-def _sweep_rows(args: argparse.Namespace) -> list[dict]:
+def cmd_sweep(args: argparse.Namespace) -> int:
     r = args.r
     if not 2 <= args.steps <= MAX_SWEEP_STEPS or not (
         0.0 < args.h_min < args.h_max < math.inf
@@ -286,66 +276,34 @@ def _sweep_rows(args: argparse.Namespace) -> list[dict]:
         for i in range(args.steps)
     ]
     marked = {
-        extremal.SLOPE_THRESHOLD * r: "threshold-sqrt3over3",
-        r: "crossover-H-equals-r",
+        extremal.SLOPE_THRESHOLD * r: "[threshold-sqrt3over3]",
+        r: "[crossover-H-equals-r]",
     }
-    rows = []
+    fmt = jsonio.format_float
+    lines = ["h_over_r,triangle_R,staircase_R,dp_R,status"]
     for h in sorted(set(heights) | set(marked)):
         spec = ProblemSpec(r=r, H=h, variant=Variant.RESTRICTED)
         report = extremal.solve(spec)
         dp_value, _ = oracle.dp_min_resistance(
             spec, oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
         )
-        status = report.status.value
-        if h in marked:
-            status = f"{status}[{marked[h]}]"
-        rows.append(
-            {
-                "h_over_r": h / r,
-                "triangle_R": functional.triangle_resistance(spec),
-                "staircase_R": report.minimal_resistance if h <= r else None,
-                "dp_R": dp_value,
-                "status": status,
-            }
-        )
-    return rows
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = _sweep_rows(args)
-    lines = ["h_over_r,triangle_R,staircase_R,dp_R,status"]
-    for row in rows:
-        stair = (
-            jsonio.format_float(row["staircase_R"])
-            if row["staircase_R"] is not None
-            else ""
-        )
+        stair = fmt(report.minimal_resistance) if h <= r else ""
+        status = report.status.value + marked.get(h, "")
         lines.append(
-            ",".join(
-                [
-                    jsonio.format_float(row["h_over_r"]),
-                    jsonio.format_float(row["triangle_R"]),
-                    stair,
-                    jsonio.format_float(row["dp_R"]),
-                    row["status"],
-                ]
-            )
+            f"{fmt(h / r)},{fmt(functional.triangle_resistance(spec))},{stair},"
+            f"{fmt(dp_value)},{status}"
         )
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    sys.stdout.write(jsonio.dumps({"rows": len(rows), "out": args.out}))
+    sys.stdout.write(jsonio.dumps({"rows": len(lines) - 1, "out": args.out}))
     return EXIT_OK
 
 
 def cmd_export_svg(args: argparse.Namespace) -> int:
     profile, spec = _load_profile(args.profile)
-    try:
-        svg = render_svg(profile, spec, args.width, args.height)
-        with open(args.out, "w") as fh:
-            fh.write(svg)
-    except OSError as exc:
-        sys.stderr.write(f"error: cannot write SVG: {exc}\n")
-        return EXIT_USAGE
+    svg = render_svg(profile, spec, args.width, args.height)
+    with open(args.out, "w") as fh:
+        fh.write(svg)
     sys.stdout.write(jsonio.dumps({"out": args.out}))
     return EXIT_OK
 
@@ -414,7 +372,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (_UsageError, ValueError, OverflowError) as exc:
+    except (_UsageError, ValueError, OverflowError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -227,7 +227,20 @@ def _hamiltonian_gap(
     # of the given slopes, and the worst shortfall of one below that maximum
     h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
     values = tuple(hamiltonian(u, lam) for u in slopes)
-    return h_max, values, max(h_max - v for v in values)
+    return h_max, values, max((h_max - v for v in values), default=0.0)
+
+
+def _refuse_thin(spec: ProblemSpec, slopes: Sequence[float]) -> None:
+    # r - H and sums of widths round on a thin body, so a rise can miss slope
+    # 1 by more than the certificate at lambda = 1/2 allows: the body is then
+    # refused by name, not returned beside a certificate it fails
+    _, values, worst = _hamiltonian_gap(slopes, 0.5)
+    if not worst <= CERTIFICATE_TOL:
+        u = slopes[values.index(min(values))]
+        raise ValueError(
+            f"H/r = {spec.H / spec.r!r} is too small to write in doubles: slope {u!r} "
+            f"fails the certificate at lambda = 1/2 by {worst!r}"
+        )
 
 
 def check_certificate(
@@ -391,16 +404,7 @@ def solve(spec: ProblemSpec) -> SolutionReport:
             make_staircase(spec, fo_staircase_params(spec)),
             make_staircase(spec, _two_rise_params(spec)),
         )
-        # r - H rounds on a thin body, so a rise can miss slope 1 by more than
-        # the certificate at lambda = 1/2 allows: the body is then refused by
-        # name, as in _family_member, not printed beside a certificate it fails
-        worst = _hamiltonian_gap([u for p in reps for u in p.slopes], 0.5)[2]
-        if not worst <= CERTIFICATE_TOL:
-            raise ValueError(
-                f"H/r = {ratio!r} is too small to write in doubles: the representatives' "
-                f"slopes {[p.slopes for p in reps]} fail the certificate at lambda = 1/2 "
-                f"by {worst!r}"
-            )
+        _refuse_thin(spec, [u for p in reps for u in p.slopes])
         return SolutionReport(
             variant=spec.variant,
             status=SolutionStatus.INFINITE_FAMILY,
@@ -493,23 +497,10 @@ def enumerate_minimizers(
     mu = np.zeros((count, n + 1))
     np.cumsum(widths[:, 1::2], axis=1, out=mu[:, 1:])
     mu[:, -1] = spec.H
-    # r - H and the cumulative sums round on a thin body, so a rise can miss
-    # slope 1 by more than the certificate at lambda = 1/2 allows: the body
-    # is then refused by name, as in solve.  Every rise's Hamiltonian is
-    # formed at once (numpy rounds as hamiltonian does), and the smallest is
-    # the family's worst shortfall; a rise of no width is no segment, and the
-    # flats' slope 0 is a maximizer
+    # a rise of no width is no segment, and the flats' slope 0 is a maximizer
     run = xi[:, 2 : 2 * n + 1 : 2] - xi[:, 1 : 2 * n : 2]
     keep = run > 0.0
-    slopes = np.diff(mu, axis=1)[keep] / run[keep]
-    if slopes.size:
-        u = float(slopes[np.argmin(-1.0 / (1.0 + slopes * slopes) - 0.5 * slopes)])
-        worst = _hamiltonian_gap((u,), 0.5)[2]
-        if not worst <= CERTIFICATE_TOL:
-            raise ValueError(
-                f"H/r = {spec.H / spec.r!r} is too small to write in doubles: a member's "
-                f"rise slope {u!r} fails the certificate at lambda = 1/2 by {worst!r}"
-            )
+    _refuse_thin(spec, (np.diff(mu, axis=1)[keep] / run[keep]).tolist())
     return [
         _family_member(spec, n, tuple(x), tuple(m))
         for x, m in zip(xi.tolist(), mu.tolist())

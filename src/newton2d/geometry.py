@@ -192,8 +192,8 @@ class StaircaseParams(Record):
     """Breakpoint parameters (xi, mu) of an alternating flat/rise contour.
 
     xi has 2n+2 entries 0 = xi[0] <= ... <= xi[2n+1]; mu has n+1 entries
-    0 = mu[0] <= ... <= mu[n].  Flats sit on [xi[2i], xi[2i+1]] at height
-    mu[i]; rise i spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
+    0 = mu[0] <= ... <= mu[n], all finite.  Flats sit on [xi[2i], xi[2i+1]]
+    at height mu[i]; rise i spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
     """
 
     _fields = ("n", "xi", "mu")
@@ -203,6 +203,8 @@ class StaircaseParams(Record):
             n=n, xi=tuple(float(v) for v in xi), mu=tuple(float(v) for v in mu)
         )
         check_int("n", self.n, 1)
+        if not all(map(math.isfinite, self.xi + self.mu)):
+            raise ValueError(f"xi and mu must be finite, got xi={self.xi}, mu={self.mu}")
         if len(self.xi) != 2 * self.n + 2:
             raise ValueError(
                 f"xi must have 2n+2 = {2 * self.n + 2} entries, got {len(self.xi)}"

@@ -140,17 +140,16 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     product tree, so it differs from a cell-by-cell sum only by rounding.
 
     Unrestricted, K = {k : |k * dh / dx| <= slope_bound}: rises may be
-    negative, and the contour must stay within the levels 0..top at every
-    prefix, with top capped above the bang-bang peak (B r + H) / 2.  The
-    order of the rises then matters and the squaring argument fails, so
-    this variant chains the product cell by cell,
+    negative, and the contour must stay at or above level 0 at every
+    prefix.  The order of the rises then matters and the squaring argument
+    fails, so this variant chains the product cell by cell,
     cost'[j] = min_k cost[j - k] + c(k), with an N x (top+1) rise table.
     K's tie order is (|k|, k): ties go to the smallest |k|, then the
     downward rise.  Cell i+1 (0-based step i) evaluates only the band of
     levels that lie on some contour from level 0 to level M,
 
         lo_i = max(0, M - (N-i-1) k_max),
-        hi_i = min(top, (i+1) k_max, M + (N-i-1) k_max),
+        hi_i = min((i+1) k_max, M + (N-i-1) k_max),
 
     since i+1 cells rise at most (i+1) k_max and the N-i-1 cells left
     move at most (N-i-1) k_max.  This is exact: a banded level reads its
@@ -159,10 +158,9 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     level is evaluated.  So every sum, argmin and tie on a 0 -> M contour
     is the same, and value and profile are bit for bit those of the full
     recurrence.  The cost is sum_i (hi_i - lo_i + 1) |K| sums, against
-    N (top+1) |K| over every level.  top never binds: the band peaks at
-    floor((M + N k_max) / 2), and N k_max dh <= B r (up to the 1e-12 that
-    rounds k_max), so the peak lies at or below (H + B r) / (2 dh), k_max
-    levels under top.
+    N (top+1) |K| over every level up to top = floor((M + N k_max) / 2),
+    the band's peak: hi_i is the smaller of two bounds that sum to
+    M + N k_max.
 
     Both schedules are deterministic, so the reported argmin profile is
     reproducible.
@@ -218,12 +216,8 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
         raise ValueError(
             "infeasible grid: required total rise unreachable under slope bound"
         )
-    # level cap: k_max levels above the bang-bang peak (B r + H) / 2, so
-    # above the band's peak floor((M + N k_max) / 2) too and never binding
-    top = max(
-        m,
-        math.ceil(((config.slope_bound * spec.r + spec.H) / 2.0) / dh) + k_max,
-    )
+    # the band's peak: no 0 -> M contour rises above it (see dp_min_resistance)
+    top = (m + n * k_max) // 2
     # the N x (top+1) rise table, or the (top+1) x |K| sums of one product
     return k_max, top, (top + 1) * max(n, 2 * k_max + 1)
 
@@ -286,7 +280,8 @@ def _square(cell_cost, ks, n):
 
 def _chain(cell_cost, ks, n, m, top):
     # slope-bounded schedule: one cell at a time, since every prefix must stay
-    # within the levels 0..top.  The levels alternate between two buffers
+    # at or above level 0; top, the band's peak, bounds the levels any band
+    # holds.  The levels alternate between two buffers
     # padded with k_max +inf on each side, each with one window; the rises go
     # into one contiguous table.  Cell i + 1 evaluates only its band
     # lo..stop - 1, the levels some 0 -> m contour can pass there (see
@@ -305,7 +300,7 @@ def _chain(cell_cost, ks, n, m, top):
     for i in range(n):
         left = (n - i - 1) * k_max
         lo = max(0, m - left)
-        stop = min(top, (i + 1) * k_max, m + left) + 1
+        stop = min((i + 1) * k_max, m + left) + 1
         _product(
             windows[i % 2][lo:stop], cell_cost, ks, cols,
             levels[1 - i % 2, lo:stop], rises[i, lo:stop],

@@ -266,6 +266,49 @@ def test_verify_single_oracle_selection(capsys):
     assert payload["checks"][0]["expected"] == pytest.approx(1.0 / 26.0)
 
 
+def test_verify_checks_the_straight_contour_when_there_is_no_solution(capsys):
+    # unrestricted H/r = 0.4 < sqrt(3)/3: solve has no profile to sample, so
+    # MC samples the straight contour, which perturbations can improve
+    code, out, _ = _run(
+        capsys,
+        ["verify", "--r", "1", "--H", "0.4", "--variant", "unrestricted", "--samples", "200000"],
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["pass"] is True
+    sign, mc = payload["checks"][-2:]
+    assert sign["claim"] == "straight contour admits drag-decreasing perturbations"
+    assert sign["expected"] is False and sign["observed"] is False
+    assert mc["claim"] == "MC drag of the straight contour matches r^3/(r^2+H^2)"
+    assert mc["expected"] == pytest.approx(1.0 / 1.16, rel=1e-15)
+
+
+@pytest.mark.parametrize("oracle, calls", [("all", 1), ("dp", 1), ("mc", 1), ("perturb", 0)])
+def test_verify_solves_at_most_once(capsys, monkeypatch, oracle, calls):
+    from newton2d import extremal
+
+    solve = extremal.solve
+    seen = []
+    monkeypatch.setattr(extremal, "solve", lambda spec: seen.append(spec) or solve(spec))
+    code, _, _ = _run(
+        capsys,
+        [
+            "verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
+            "--oracle", oracle, "--cells", "60", "--levels", "60", "--samples", "100000",
+        ],
+    )
+    assert code == EXIT_OK
+    assert len(seen) == calls
+
+
+def test_verify_perturb_runs_on_a_body_solve_refuses(capsys):
+    argv = ["--r", "1", "--H", "1e-17", "--variant", "restricted"]
+    assert _run(capsys, ["solve", *argv])[0] == EXIT_USAGE
+    code, out, _ = _run(capsys, ["verify", *argv, "--oracle", "perturb"])
+    assert code == EXIT_OK
+    assert json.loads(out)["pass"] is True
+
+
 def test_sweep_crossover_row(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code, _, _ = _run(
@@ -484,6 +527,27 @@ def test_eval_and_export_svg_refuse_a_profile_of_strings_bools_or_triples(tmp_pa
         assert proc.stderr.startswith(f"error: invalid profile: {message}")
         assert len(proc.stderr.splitlines()) == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--r", "1", "--H", "0.4", "--variant", "restricted"],
+        ["sweep", "--H-min", "0.5", "--H-max", "1.5", "--steps", "2",
+         "--cells", "8", "--levels", "8"],
+        ["export-svg", "--profile", "PROFILE"],
+    ],
+    ids=["solve", "sweep", "export-svg"],
+)
+def test_an_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
+    # --out is written before stdout, so nothing is printed but the error
+    argv = [str(_write_profile(tmp_path)) if a == "PROFILE" else a for a in argv]
+    target = tmp_path / "missing" / "out"
+    code, out, err = _run(capsys, [*argv, "--out", str(target)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
 
 
 def test_cli_import_does_not_load_scipy():

@@ -12,6 +12,7 @@ from newton2d.extremal import (
     SLOPE_THRESHOLD,
     Classification,
     ExtremalCertificate,
+    SolutionReport,
     SolutionStatus,
     check_certificate,
     classify_stationary,
@@ -27,7 +28,14 @@ from newton2d.extremal import (
     stationary_slopes,
 )
 from newton2d.functional import staircase_resistance, triangle_resistance
-from newton2d.geometry import ProblemSpec, StaircaseParams, Variant, make_staircase, validate
+from newton2d.geometry import (
+    ProblemSpec,
+    StaircaseParams,
+    Variant,
+    make_staircase,
+    make_triangle,
+    validate,
+)
 
 
 def _bisect_root(f, lo, hi, iters=200):
@@ -301,8 +309,20 @@ def test_canonical_staircase_params():
     fo = fo_staircase_params(spec)
     assert staircase_resistance(io, spec) == pytest.approx(0.8, rel=1e-12)
     assert staircase_resistance(fo, spec) == pytest.approx(0.8, rel=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="flat-then-rise optimum requires H <= r"):
         io_staircase_params(ProblemSpec(r=1.0, H=2.0))
+    with pytest.raises(ValueError, match="rise-then-flat optimum requires H <= r"):
+        fo_staircase_params(ProblemSpec(r=1.0, H=2.0))
+
+
+def test_solution_report_refuses_an_inconsistent_status():
+    spec = ProblemSpec(r=1.0, H=0.4)
+    with pytest.raises(ValueError, match="no-solution reports carry no resistance value"):
+        SolutionReport(Variant.UNRESTRICTED, SolutionStatus.NO_SOLUTION, 0.5, (), None)
+    with pytest.raises(ValueError, match="infinite-family reports need >= 2 representatives"):
+        SolutionReport(
+            Variant.RESTRICTED, SolutionStatus.INFINITE_FAMILY, 0.8, (make_triangle(spec),), None
+        )
 
 
 def test_enumerate_minimizers_family_invariance():
@@ -511,6 +531,9 @@ def test_solve_refuses_a_body_whose_staircase_cannot_be_written_in_doubles(H):
 def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
     with pytest.raises(ValueError, match=re.escape("H/r = 1e-15 is too small")):
         enumerate_minimizers(ProblemSpec(r=1.0, H=1e-15), 3, 20, 1)
+    # the only rise rounds to zero width, so no rise slope is left to check
+    with pytest.raises(ValueError, match=re.escape("H/r = 1e-17 is too small")):
+        enumerate_minimizers(ProblemSpec(r=1.0, H=1e-17), 1, 1, 0)
 
 
 @pytest.mark.parametrize("H", [1e-13, 1e-11, 1e-10])

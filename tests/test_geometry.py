@@ -89,6 +89,42 @@ def test_staircase_rejects_infinite_slope():
         StaircaseParams(n=1, xi=(0.0, 0.5, 0.5, 1.0), mu=(0.0, 1.0))
 
 
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "n, xi, mu, message",
+    [
+        (1, (0.0, 0.5, 1.0), (0.0, 1.0), "xi must have 2n+2 = 4 entries, got 3"),
+        (1, (0.0, 0.5, 1.0, 1.0), (0.0, 0.5, 1.0), "mu must have n+1 = 2 entries, got 3"),
+        (1, (0.1, 0.5, 1.0, 1.0), (0.0, 1.0), "xi[0] must be 0"),
+        (1, (0.0, 0.5, 1.0, 1.0), (0.1, 1.0), "mu[0] must be 0"),
+        (1, (0.0, 0.6, 0.5, 1.0), (0.0, 1.0), "xi must be nondecreasing"),
+        (2, (0.0, 0.1, 0.2, 0.3, 0.4, 1.0), (0.0, 0.6, 0.5), "mu must be nondecreasing"),
+    ],
+)
+def test_staircase_refuses_bad_lengths_starts_and_orders(n, xi, mu, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        StaircaseParams(n, xi, mu)
+
+
+@pytest.mark.parametrize(
+    "xi, mu",
+    [
+        ((0.0, _NAN, 1.0, 1.0), (0.0, 1.0)),
+        ((0.0, 0.5, _NAN, 1.0), (0.0, 1.0)),
+        ((0.0, 0.5, 1.0, 1.0), (0.0, _NAN)),
+        ((0.0, 0.5, 1.0, _INF), (0.0, 1.0)),
+        ((0.0, 0.5, _INF, _INF), (0.0, 1.0)),
+    ],
+)
+def test_staircase_refuses_non_finite_breakpoints(xi, mu):
+    # NaN passes every order test, and make_staircase would drop its point
+    # and price another body
+    with pytest.raises(ValueError, match="xi and mu must be finite"):
+        StaircaseParams(1, xi, mu)
+
+
 def test_staircase_rejects_endpoint_mismatch():
     spec = ProblemSpec(r=2.0, H=1.0)
     params = StaircaseParams(n=1, xi=(0.0, 0.0, 1.0, 1.0), mu=(0.0, 1.0))
@@ -159,6 +195,15 @@ def test_validate_flags_endpoint_mismatch():
     assert any("endpoint mismatch" in issue for issue in result.issues)
 
 
+def test_validate_flags_start_and_end_x():
+    result = validate(Profile(((0.1, 0.2), (2.0, 1.0))), ProblemSpec(r=1.0, H=1.0))
+    assert not result.ok
+    assert result.issues == (
+        "profile must start at (0, 0), starts at (0.1, 0.2)",
+        "profile must end at x = r = 1.0, ends at x = 2.0",
+    )
+
+
 def test_slope_at_is_right_continuous():
     spec = ProblemSpec(r=1.0, H=0.4)
     profile = make_staircase(
@@ -187,6 +232,12 @@ def test_profile_derived_tuples_are_cached_per_instance():
 def test_profile_rejects_nonincreasing_x():
     with pytest.raises(ValueError):
         Profile(((0.0, 0.0), (0.5, 0.2), (0.5, 0.4)))
+
+
+@pytest.mark.parametrize("points", [(), ((0.0, 0.0),)])
+def test_profile_needs_two_breakpoints(points):
+    with pytest.raises(ValueError, match="at least two breakpoints"):
+        Profile(points)
 
 
 def test_profile_rejects_non_finite_breakpoints():
@@ -304,6 +355,22 @@ def test_negative_zero_survives_the_json_round_trip():
     # 17-digit formatting writes -0.0 as "-0", which json reads as the int 0
     assert jsonio.dumps([-0.0, 0.0]) == "[\n  -0.0,\n  0\n]\n"
     assert math.copysign(1.0, json.loads(jsonio.dumps(-0.0))) == -1.0
+
+
+@pytest.mark.parametrize("value", [_NAN, _INF, -_INF])
+def test_json_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="non-finite float not representable in JSON"):
+        jsonio.dumps({"x": [value]})
+
+
+def test_json_writes_empty_containers_inline():
+    assert jsonio.dumps({}) == "{}\n"
+    assert jsonio.dumps({"a": {}, "b": []}) == '{\n  "a": {},\n  "b": []\n}\n'
+
+
+def test_json_refuses_unsupported_types():
+    with pytest.raises(TypeError, match="unsupported type for JSON output"):
+        jsonio.dumps({"x": {1, 2}})
 
 
 def test_profile_from_dict_rejects_malformed_data():

@@ -139,11 +139,12 @@ def test_dp_unrestricted_infeasible_bound_raises():
         # verify --cells 100000 --levels 100000: one (M+1)^2 product table
         (ProblemSpec(r=1.0, H=1.0), DpConfig(100_000, 100_000), 100_001**2),
         # verify --variant unrestricted --slope-bound 1e6: k_max = 10^6 and
-        # top = 101000100, so the (top+1) x |K| sums of one product dominate
+        # top = (200 + 200 * 10^6) // 2 = 100000100, so the (top+1) x |K|
+        # sums of one product dominate
         (
             ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED),
             DpConfig(200, 200, 1e6),
-            101_000_101 * 2_000_001,
+            100_000_101 * 2_000_001,
         ),
     ],
     ids=["restricted-1e5", "bounded-B1e6"],
@@ -154,10 +155,10 @@ def test_dp_table_count_of_huge_grids_exceeds_cap(spec, config, elements):
 
 
 def test_dp_table_count_of_bounded_grid():
-    # 400 x 400 at B = 10: top = 2210, |K| = 21, so the 400 x 2211 rise
-    # table is the largest
+    # 400 x 400 at B = 10: top = (400 + 400 * 10) // 2 = 2200, the band's
+    # peak, and |K| = 21, so the 400 x 2201 rise table is the largest
     spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
-    assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2210, 400 * 2211)
+    assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2200, 400 * 2201)
 
 
 def test_dp_refuses_grid_above_table_cap():
@@ -372,8 +373,9 @@ def test_dp_bounded_tight_grid_matches_gather_reference_bit_exactly(
     config = DpConfig(n, m, (k + extra) * (spec.H / m) / (spec.r / n))
     k_max, top, _ = _grid_extent(spec, config)
     assert k_max == k
-    # the band never reaches top, so top's cap does not alter it
-    assert (m + n * k_max) // 2 <= top
+    # top is the band's peak, so the reference's levels 0..top hold every
+    # 0 -> M contour
+    assert (m + n * k_max) // 2 == top
     ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
     value, profile = dp_min_resistance(spec, config)
     ref_value, ref_rises = _gather_reference(spec, n, m, ks, top)
@@ -385,7 +387,7 @@ def test_dp_bounded_tight_grid_matches_gather_reference_bit_exactly(
 def test_dp_bounded_evaluates_only_the_band(monkeypatch, bound, rows):
     # the work of one bounded DP as a count of (min,+) rows: 400^2 at H = r
     # evaluates sum_i (hi_i - lo_i + 1) levels, against N (top + 1) =
-    # 241200, 482400 and 884400 over every level 0..top
+    # 240400, 480400 and 880400 over every level 0..top
     counted = []
     product = oracle._product
 
