@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, Sequence
 
@@ -118,7 +119,8 @@ def _load_profile(path: str) -> tuple[Profile, ProblemSpec]:
     try:
         with open(path) as fh:
             data = json.load(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # json refuses nesting deeper than the recursion limit this way
         raise _UsageError(f"cannot read profile: {exc}") from exc
     try:
         profile, spec = profile_from_dict(data)
@@ -271,28 +273,39 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     from . import oracle
 
-    heights = [
-        args.h_min + (args.h_max - args.h_min) * i / (args.steps - 1)
-        for i in range(args.steps)
-    ]
     marked = {
         extremal.SLOPE_THRESHOLD * r: "[threshold-sqrt3over3]",
         r: "[crossover-H-equals-r]",
     }
+    heights = sorted(
+        {args.h_min + (args.h_max - args.h_min) * i / (args.steps - 1) for i in range(args.steps)}
+        | set(marked)
+    )
     fmt = jsonio.format_float
+    # appending truncates nothing and writes through symlinks and devices,
+    # so a bad --out fails here, before the first DP runs, with the error
+    # the final write would raise
+    created = not os.path.lexists(args.out)
+    open(args.out, "a").close()
     lines = ["h_over_r,triangle_R,staircase_R,dp_R,status"]
-    for h in sorted(set(heights) | set(marked)):
-        spec = ProblemSpec(r=r, H=h, variant=Variant.RESTRICTED)
-        report = extremal.solve(spec)
-        dp_value, _ = oracle.dp_min_resistance(
-            spec, oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
-        )
-        stair = fmt(report.minimal_resistance) if h <= r else ""
-        status = report.status.value + marked.get(h, "")
-        lines.append(
-            f"{fmt(h / r)},{fmt(functional.triangle_resistance(spec))},{stair},"
-            f"{fmt(dp_value)},{status}"
-        )
+    try:
+        for h in heights:
+            spec = ProblemSpec(r=r, H=h, variant=Variant.RESTRICTED)
+            report = extremal.solve(spec)
+            dp_value, _ = oracle.dp_min_resistance(
+                spec, oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
+            )
+            stair = fmt(report.minimal_resistance) if h <= r else ""
+            status = report.status.value + marked.get(h, "")
+            lines.append(
+                f"{fmt(h / r)},{fmt(functional.triangle_resistance(spec))},{stair},"
+                f"{fmt(dp_value)},{status}"
+            )
+    except BaseException:
+        # a failing row leaves --out as it found it
+        if created:
+            os.remove(args.out)
+        raise
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     sys.stdout.write(jsonio.dumps({"rows": len(lines) - 1, "out": args.out}))

@@ -130,35 +130,40 @@ class Profile(Record):
     positive jump in y over zero width would mean an infinite slope and is
     rejected at construction time.  So are a width x_n - x_0 or a slope
     that overflows, such as a rise of 1e10 over 1e-300: every drag, sample
-    and reflection is computed from them.  Instances are immutable, so xs,
-    ys and slopes are computed once per instance and cached; the cache lives in
-    the instance dict, outside _fields, so equality, hashing and repr still
-    see the breakpoints alone.
+    and reflection is computed from them.  slopes holds the per-segment
+    slopes u_i = (y_{i+1} - y_i) / (x_{i+1} - x_i), formed in the pass that
+    converts and checks the breakpoints; xs and ys are computed once, on
+    first use.  Instances are immutable, and slopes, xs and ys live in the
+    instance dict, outside _fields, so equality, hashing and repr see the
+    breakpoints alone.
     """
 
     _fields = ("breakpoints",)
 
     def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
-        pts = tuple((float(x), float(y)) for x, y in breakpoints)
-        self.__dict__.update(breakpoints=pts)
-        if len(pts) < 2:
-            raise ValueError("profile needs at least two breakpoints")
-        for x, y in pts:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"breakpoint ({x}, {y}) is not finite")
-        for (x0, _), (x1, _) in zip(pts, pts[1:]):
-            if not (x1 > x0):
-                raise ValueError(
-                    f"breakpoint x-coordinates must be strictly increasing "
-                    f"({x0} -> {x1})"
-                )
-        if not math.isfinite(pts[-1][0] - pts[0][0]):
-            raise ValueError(
-                f"profile width {pts[0][0]} -> {pts[-1][0]} overflows a float"
-            )
-        if not all(map(math.isfinite, self.slopes)):
-            i = next(i for i, u in enumerate(self.slopes) if not math.isfinite(u))
-            raise ValueError(f"segment {i} has non-finite slope {self.slopes[i]}")
+        # a width that is not positive adds no slope, so the input breaks a
+        # rule just when the slopes come out short, the width overflows or a
+        # slope is not finite (a non-finite y makes its slopes so); then
+        # _refuse_profile names the first rule broken, in the order stated
+        pts = []
+        slopes = []
+        px = py = math.nan
+        for x, y in breakpoints:
+            x = float(x)
+            y = float(y)
+            pts.append((x, y))
+            width = x - px
+            if width > 0.0:
+                slopes.append((y - py) / width)
+            px = x
+            py = y
+        self.__dict__.update(breakpoints=tuple(pts), slopes=tuple(slopes))
+        if not (
+            len(slopes) == len(pts) - 1 > 0
+            and math.isfinite(px - pts[0][0])
+            and all(map(math.isfinite, slopes))
+        ):
+            _refuse_profile(self.breakpoints, self.slopes)
 
     @cached_property
     def xs(self) -> tuple[float, ...]:
@@ -167,14 +172,6 @@ class Profile(Record):
     @cached_property
     def ys(self) -> tuple[float, ...]:
         return tuple(p[1] for p in self.breakpoints)
-
-    @cached_property
-    def slopes(self) -> tuple[float, ...]:
-        """Per-segment slopes u_i = (y_{i+1} - y_i) / (x_{i+1} - x_i)."""
-        pts = self.breakpoints
-        return tuple(
-            (y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pts, pts[1:])
-        )
 
     def segment_index(self, x: float) -> int:
         """Index of the segment containing x (right-continuous at breakpoints)."""
@@ -188,6 +185,28 @@ class Profile(Record):
         return self.slopes[self.segment_index(x)]
 
 
+def _refuse_profile(pts: tuple[tuple[float, float], ...], slopes: tuple[float, ...]) -> None:
+    # Profile's rules in order; the first one broken raises
+    if len(pts) < 2:
+        raise ValueError("profile needs at least two breakpoints")
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"breakpoint ({x}, {y}) is not finite")
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if not (x1 > x0):
+            raise ValueError(
+                f"breakpoint x-coordinates must be strictly increasing "
+                f"({x0} -> {x1})"
+            )
+    if not math.isfinite(pts[-1][0] - pts[0][0]):
+        raise ValueError(
+            f"profile width {pts[0][0]} -> {pts[-1][0]} overflows a float"
+        )
+    for i, u in enumerate(slopes):
+        if not math.isfinite(u):
+            raise ValueError(f"segment {i} has non-finite slope {u}")
+
+
 class StaircaseParams(Record):
     """Breakpoint parameters (xi, mu) of an alternating flat/rise contour.
 
@@ -199,33 +218,28 @@ class StaircaseParams(Record):
     _fields = ("n", "xi", "mu")
 
     def __init__(self, n: int, xi: tuple[float, ...], mu: tuple[float, ...]) -> None:
-        self.__dict__.update(
-            n=n, xi=tuple(float(v) for v in xi), mu=tuple(float(v) for v in mu)
+        xi = tuple([float(v) for v in xi])
+        mu = tuple([float(v) for v in mu])
+        self.__dict__.update(n=n, xi=xi, mu=mu)
+        check_int("n", n, 1)
+        # one pass over flat i, rise i and the heights around it; NaN fails
+        # every comparison and the last entries bound the rest, so ok holds
+        # just when every rule does, and _refuse_staircase names the first
+        # one broken otherwise
+        ok = (
+            len(xi) == 2 * n + 2
+            and len(mu) == n + 1
+            and xi[0] == 0.0 == mu[0]
+            and xi[-2] <= xi[-1] < math.inf
+            and mu[-1] < math.inf
         )
-        check_int("n", self.n, 1)
-        if not all(map(math.isfinite, self.xi + self.mu)):
-            raise ValueError(f"xi and mu must be finite, got xi={self.xi}, mu={self.mu}")
-        if len(self.xi) != 2 * self.n + 2:
-            raise ValueError(
-                f"xi must have 2n+2 = {2 * self.n + 2} entries, got {len(self.xi)}"
-            )
-        if len(self.mu) != self.n + 1:
-            raise ValueError(
-                f"mu must have n+1 = {self.n + 1} entries, got {len(self.mu)}"
-            )
-        if self.xi[0] != 0.0:
-            raise ValueError("xi[0] must be 0")
-        if self.mu[0] != 0.0:
-            raise ValueError("mu[0] must be 0")
-        if any(b < a for a, b in zip(self.xi, self.xi[1:])):
-            raise ValueError("xi must be nondecreasing")
-        if any(b < a for a, b in zip(self.mu, self.mu[1:])):
-            raise ValueError("mu must be nondecreasing")
-        for i, (width, height) in enumerate(zip(self.rise_widths, self.rise_heights)):
-            if height > 0.0 and width <= 0.0:
-                raise ValueError(
-                    f"rise {i} has height {height} over zero width (infinite slope)"
-                )
+        if ok:
+            for a, b, c, lo, hi in zip(xi[0::2], xi[1::2], xi[2::2], mu, mu[1:]):
+                if not (a <= b <= c and lo <= hi and (b < c or lo == hi)):
+                    ok = False
+                    break
+        if not ok:
+            _refuse_staircase(self)
 
     @property
     def rise_widths(self) -> tuple[float, ...]:
@@ -242,6 +256,30 @@ class StaircaseParams(Record):
         return tuple(
             self.xi[2 * i + 1] - self.xi[2 * i] for i in range(self.n + 1)
         )
+
+
+def _refuse_staircase(params: StaircaseParams) -> None:
+    # StaircaseParams' rules in order; the first one broken raises
+    xi, mu, n = params.xi, params.mu, params.n
+    if not all(map(math.isfinite, xi + mu)):
+        raise ValueError(f"xi and mu must be finite, got xi={xi}, mu={mu}")
+    if len(xi) != 2 * n + 2:
+        raise ValueError(f"xi must have 2n+2 = {2 * n + 2} entries, got {len(xi)}")
+    if len(mu) != n + 1:
+        raise ValueError(f"mu must have n+1 = {n + 1} entries, got {len(mu)}")
+    if xi[0] != 0.0:
+        raise ValueError("xi[0] must be 0")
+    if mu[0] != 0.0:
+        raise ValueError("mu[0] must be 0")
+    if any(b < a for a, b in zip(xi, xi[1:])):
+        raise ValueError("xi must be nondecreasing")
+    if any(b < a for a, b in zip(mu, mu[1:])):
+        raise ValueError("mu must be nondecreasing")
+    for i, (width, height) in enumerate(zip(params.rise_widths, params.rise_heights)):
+        if height > 0.0 and width <= 0.0:
+            raise ValueError(
+                f"rise {i} has height {height} over zero width (infinite slope)"
+            )
 
 
 class CounterexampleParams(Record):
@@ -280,19 +318,15 @@ def make_staircase(spec: ProblemSpec, params: StaircaseParams) -> Profile:
         raise ValueError(
             f"mu[-1] = {params.mu[-1]} does not match spec.H = {spec.H}"
         )
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    for i in range(params.n + 1):
-        _append(points, (params.xi[2 * i + 1], params.mu[i]))
-        if i < params.n:
-            _append(points, (params.xi[2 * i + 2], params.mu[i + 1]))
-    return Profile(tuple(points))
-
-
-def _append(points: list[tuple[float, float]], pt: tuple[float, float]) -> None:
-    # drop zero-width segments; zero-width with a y-jump cannot occur here
-    # because StaircaseParams rejects infinite-slope rises
-    if pt[0] > points[-1][0]:
-        points.append(pt)
+    # breakpoint k >= 1 is (xi[k], mu[k // 2]); a zero-width segment is
+    # dropped, and it cannot carry a y-jump, since StaircaseParams refuses
+    # infinite-slope rises
+    xi, mu = params.xi, params.mu
+    points = [(0.0, 0.0)]
+    for k in range(1, len(xi)):
+        if xi[k] > points[-1][0]:
+            points.append((xi[k], mu[k // 2]))
+    return Profile(points)
 
 
 def make_counterexample(

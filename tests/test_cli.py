@@ -1,6 +1,7 @@
 import json
 import os
 import subprocess
+import stat
 import sys
 import tracemalloc
 from pathlib import Path
@@ -548,6 +549,130 @@ def test_an_unwritable_out_is_a_one_line_error(tmp_path, capsys, argv):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and str(target) in lines[0]
+
+
+@pytest.mark.parametrize("command", ["eval", "export-svg"])
+def test_a_profile_nested_too_deep_is_a_one_line_error(tmp_path, command):
+    # json.load meets the recursion limit long before 10^5 levels
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = ["-m", "newton2d.cli", command, "--profile", str(deep)]
+    if command == "export-svg":
+        argv += ["--out", str(tmp_path / "deep.svg")]
+    proc = _run_python(*argv)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot read profile: ")
+    assert not (tmp_path / "deep.svg").exists()
+
+
+def _dp_must_not_run(*args, **kwargs):
+    raise AssertionError("the DP ran before --out was opened")
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [("missing/s.csv", "[Errno 2] No such file or directory"), ("adir", "[Errno 21] Is a directory")],
+)
+def test_sweep_refuses_an_unwritable_out_before_any_row(tmp_path, capsys, monkeypatch, name, message):
+    from newton2d import oracle
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", _dp_must_not_run)
+    (tmp_path / "adir").mkdir()
+    target = tmp_path / name
+    code, out, err = _run(
+        capsys, ["sweep", "--H-min", "0.2", "--H-max", "1.4", "--steps", "200", "--out", str(target)]
+    )
+    # the message names --out, as a failed write to --out itself did
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {message}: '{target}'\n"
+
+
+@pytest.mark.parametrize("existing", [None, "kept\n"])
+def test_sweep_leaves_out_as_it_was_when_a_row_fails(tmp_path, capsys, monkeypatch, existing):
+    from newton2d import oracle
+
+    real = oracle.dp_min_resistance
+    calls = []
+
+    def fails_on_the_third_row(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise ValueError("row 3 fails")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "dp_min_resistance", fails_on_the_third_row)
+    target = tmp_path / "s.csv"
+    if existing is not None:
+        target.write_text(existing)
+    argv = ["sweep", "--H-min", "0.2", "--H-max", "1.4", "--steps", "6",
+            "--cells", "8", "--levels", "8", "--out", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", "error: row 3 fails\n")
+    if existing is None:
+        assert list(tmp_path.iterdir()) == []
+    else:
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+        assert target.read_text() == existing
+
+
+_SWEEP_SMALL = ["sweep", "--H-min", "0.2", "--H-max", "1.4", "--steps", "3", "--cells", "8", "--levels", "8"]
+
+
+def test_sweep_writes_through_a_symlinked_out(tmp_path, capsys):
+    target = tmp_path / "target.csv"
+    target.write_text("old\n")
+    target.chmod(0o600)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, out, err = _run(capsys, _SWEEP_SMALL + ["--out", str(link)])
+    assert (code, err) == (EXIT_OK, "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text().startswith("h_over_r,triangle_R,staircase_R,dp_R,status\n")
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_sweep_writes_through_dev_null(capsys):
+    before = os.stat(os.devnull)
+    code, out, err = _run(capsys, _SWEEP_SMALL + ["--out", os.devnull])
+    assert (code, err) == (EXIT_OK, "")
+    after = os.stat(os.devnull)
+    assert stat.S_ISCHR(after.st_mode) and (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+
+#: The 14-step sweep of the README at the default 200x200 grid, as it was
+#: printed when the rows were written only after the last one was formed.
+_SWEEP_14_CSV = (
+    "h_over_r,triangle_R,staircase_R,dp_R,status\n"
+    "0.20000000000000001,0.96153846153846145,0.90000000000000002,0.89999999999999991,InfiniteFamily\n"
+    "0.30000000000000004,0.9174311926605504,0.84999999999999998,0.85089394076623459,InfiniteFamily\n"
+    "0.40000000000000002,0.86206896551724133,0.80000000000000004,0.80329468212714894,InfiniteFamily\n"
+    "0.5,0.80000000000000004,0.75,0.74999999999999989,InfiniteFamily\n"
+    "0.57735026918962573,0.75,0.71132486540518713,0.71428571428571419,InfiniteFamily[threshold-sqrt3over3]\n"
+    "0.60000000000000009,0.73529411764705876,0.69999999999999996,0.70491803278688503,InfiniteFamily\n"
+    "0.69999999999999996,0.67114093959731547,0.65000000000000002,0.66891891891891875,InfiniteFamily\n"
+    "0.80000000000000004,0.6097560975609756,0.59999999999999998,0.60975609756097549,InfiniteFamily\n"
+    "0.89999999999999991,0.5524861878453039,0.55000000000000004,0.5524861878453039,InfiniteFamily\n"
+    "1,0.5,0.5,0.5,UniqueMinimizer[crossover-H-equals-r]\n"
+    "1.1000000000000001,0.45248868778280543,,0.45248868778280549,UniqueMinimizer\n"
+    "1.2,0.4098360655737705,,0.4098360655737705,UniqueMinimizer\n"
+    "1.3,0.3717472118959107,,0.37174721189591076,UniqueMinimizer\n"
+    "1.4000000000000001,0.33783783783783777,,0.33783783783783783,UniqueMinimizer\n"
+    "1.5000000000000002,0.3076923076923076,,0.3076923076923076,UniqueMinimizer\n"
+)
+
+
+def test_sweep_writes_the_same_bytes_as_before(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(
+        capsys, ["sweep", "--r", "1", "--H-min", "0.2", "--H-max", "1.5", "--steps", "14", "--out", "sweep.csv"]
+    )
+    assert (code, err) == (EXIT_OK, "")
+    assert out == '{\n  "rows": 15,\n  "out": "sweep.csv"\n}\n'
+    assert (tmp_path / "sweep.csv").read_bytes() == _SWEEP_14_CSV.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
 
 
 def test_cli_import_does_not_load_scipy():

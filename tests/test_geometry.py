@@ -387,3 +387,185 @@ def test_check_seed_accepts_non_negative_ints(seed):
 def test_check_seed_names_the_seed_it_refuses(seed):
     with pytest.raises(ValueError, match=re.escape(f"rng_seed must be a non-negative int, got {seed!r}")):
         check_seed(seed)
+
+
+# Every refusal of the two constructors, alone and in pairs of faults in one
+# input, with the message it gave when each rule was its own pass over the
+# input: the one-pass checks must keep the order of the rules.
+_PROFILE_REFUSALS = [
+    ((), "profile needs at least two breakpoints"),
+    (((0.0, 0.0),), "profile needs at least two breakpoints"),
+    (((0.0, 0.0), (_NAN, 1.0)), "breakpoint (nan, 1.0) is not finite"),
+    (((0.0, 0.0), (1.0, _INF)), "breakpoint (1.0, inf) is not finite"),
+    (((0.0, -_INF), (1.0, 1.0)), "breakpoint (0.0, -inf) is not finite"),
+    (((0.0, 0.0), (0.0, 1.0)),
+     "breakpoint x-coordinates must be strictly increasing (0.0 -> 0.0)"),
+    (((0.0, 0.0), (1.0, 1.0), (0.5, 2.0)),
+     "breakpoint x-coordinates must be strictly increasing (1.0 -> 0.5)"),
+    (((-1e308, 0.0), (1e308, 0.0)), "profile width -1e+308 -> 1e+308 overflows a float"),
+    (((0.0, 0.0), (1e-300, 1e10)), "segment 0 has non-finite slope inf"),
+    # pairs of faults
+    (((_NAN, 0.0),), "profile needs at least two breakpoints"),
+    (((0.0, 0.0), (0.0, 1.0), (2.0, _NAN)), "breakpoint (2.0, nan) is not finite"),
+    (((0.0, 0.0), (-1.0, 1.0), (-_INF, 0.0)), "breakpoint (-inf, 0.0) is not finite"),
+    (((-1e308, 0.0), (-1e308, 0.0), (1e308, 0.0)),
+     "breakpoint x-coordinates must be strictly increasing (-1e+308 -> -1e+308)"),
+    (((-1e308, 0.0), (0.0, 0.0), (1e-300, 1e10), (1e308, 1e10)),
+     "profile width -1e+308 -> 1e+308 overflows a float"),
+    (((0.0, 0.0), (1e-300, 1e10), (1.0, _INF)), "breakpoint (1.0, inf) is not finite"),
+    (((0.0, 0.0), (1e-300, 1e10), (2e-300, -1e10)), "segment 0 has non-finite slope inf"),
+    (((0.0, _NAN), ("a", 1.0)), "could not convert string to float: 'a'"),
+    (((_NAN, 0.0), (1.0, 2.0, 3.0)), "too many values to unpack (expected 2)"),
+]
+
+_STAIRCASE_REFUSALS = [
+    ((0, (0.0, 1.0), (0.0,)), "n must be an int >= 1, got 0"),
+    ((True, (0.0, 0.5, 1.0, 1.0), (0.0, 1.0)), "n must be an int >= 1, got True"),
+    ((1.0, (0.0, 0.5, 1.0, 1.0), (0.0, 1.0)), "n must be an int >= 1, got 1.0"),
+    ((1, (0.0, _NAN, 1.0, 1.0), (0.0, 1.0)),
+     "xi and mu must be finite, got xi=(0.0, nan, 1.0, 1.0), mu=(0.0, 1.0)"),
+    ((1, (0.0, 0.5, 1.0, 1.0), (0.0, _INF)),
+     "xi and mu must be finite, got xi=(0.0, 0.5, 1.0, 1.0), mu=(0.0, inf)"),
+    ((1, (0.0, 0.5, 1.0), (0.0, 1.0)), "xi must have 2n+2 = 4 entries, got 3"),
+    ((1, (0.0, 0.5, 1.0, 1.0), (0.0, 0.5, 1.0)), "mu must have n+1 = 2 entries, got 3"),
+    ((1, (0.1, 0.5, 1.0, 1.0), (0.0, 1.0)), "xi[0] must be 0"),
+    ((1, (0.0, 0.5, 1.0, 1.0), (0.1, 1.0)), "mu[0] must be 0"),
+    ((1, (0.0, 0.6, 0.5, 1.0), (0.0, 1.0)), "xi must be nondecreasing"),
+    ((1, (0.0, 0.5, 1.0, 0.9), (0.0, 1.0)), "xi must be nondecreasing"),
+    ((2, (0.0, 0.1, 0.2, 0.3, 0.4, 1.0), (0.0, 0.6, 0.5)), "mu must be nondecreasing"),
+    ((1, (0.0, 0.5, 0.5, 1.0), (0.0, 1.0)),
+     "rise 0 has height 1.0 over zero width (infinite slope)"),
+    ((2, (0.0, 0.1, 0.2, 0.4, 0.4, 1.0), (0.0, 0.5, 1.0)),
+     "rise 1 has height 0.5 over zero width (infinite slope)"),
+    # pairs of faults
+    ((0, (0.0, _NAN), (0.0,)), "n must be an int >= 1, got 0"),
+    ((0, ("a", 1.0), (0.0,)), "could not convert string to float: 'a'"),
+    ((1, (0.0, _NAN, 1.0), (0.0, 1.0)),
+     "xi and mu must be finite, got xi=(0.0, nan, 1.0), mu=(0.0, 1.0)"),
+    ((1, (0.0, 0.5, 1.0, _INF), (0.0, 1.0, 0.5)),
+     "xi and mu must be finite, got xi=(0.0, 0.5, 1.0, inf), mu=(0.0, 1.0, 0.5)"),
+    ((1, (0.0, 0.5, 1.0), (0.0, 0.5, 1.0)), "xi must have 2n+2 = 4 entries, got 3"),
+    ((1, (0.1, 0.5, 1.0, 1.0), (0.1, 1.0)), "xi[0] must be 0"),
+    ((1, (0.1, 0.6, 0.5, 1.0), (0.0, 1.0)), "xi[0] must be 0"),
+    ((2, (0.0, 0.2, 0.1, 0.3, 0.4, 1.0), (0.0, 0.6, 0.5)), "xi must be nondecreasing"),
+    ((2, (0.0, 0.1, 0.2, 0.2, 0.4, 1.0), (0.0, 0.6, 0.5)), "mu must be nondecreasing"),
+    ((2, (0.0, 0.1, 0.1, 0.2, 0.2, 1.0), (0.0, 0.5, 1.0)),
+     "rise 0 has height 0.5 over zero width (infinite slope)"),
+    ((1, (0.0, 0.5, 0.5, 0.4), (0.0, 1.0)), "xi must be nondecreasing"),
+]
+
+
+@pytest.mark.parametrize("points, message", _PROFILE_REFUSALS)
+def test_profile_refusals_keep_their_messages_and_order(points, message):
+    with pytest.raises(ValueError) as info:
+        Profile(points)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("args, message", _STAIRCASE_REFUSALS)
+def test_staircase_refusals_keep_their_messages_and_order(args, message):
+    with pytest.raises(ValueError) as info:
+        StaircaseParams(*args)
+    assert str(info.value) == message
+
+
+def _profile_rules(points):
+    # Profile's rules, each its own pass, in order: the first message or None
+    pts = tuple((float(x), float(y)) for x, y in points)
+    if len(pts) < 2:
+        return "profile needs at least two breakpoints"
+    for x, y in pts:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return f"breakpoint ({x}, {y}) is not finite"
+    for (x0, _), (x1, _) in zip(pts, pts[1:]):
+        if not x1 > x0:
+            return f"breakpoint x-coordinates must be strictly increasing ({x0} -> {x1})"
+    if not math.isfinite(pts[-1][0] - pts[0][0]):
+        return f"profile width {pts[0][0]} -> {pts[-1][0]} overflows a float"
+    for i, ((x0, y0), (x1, y1)) in enumerate(zip(pts, pts[1:])):
+        if not math.isfinite((y1 - y0) / (x1 - x0)):
+            return f"segment {i} has non-finite slope {(y1 - y0) / (x1 - x0)}"
+    return None
+
+
+def _staircase_rules(n, xi, mu):
+    # StaircaseParams' rules for an int n >= 1, each its own pass, in order
+    if not all(map(math.isfinite, xi + mu)):
+        return f"xi and mu must be finite, got xi={xi}, mu={mu}"
+    if len(xi) != 2 * n + 2:
+        return f"xi must have 2n+2 = {2 * n + 2} entries, got {len(xi)}"
+    if len(mu) != n + 1:
+        return f"mu must have n+1 = {n + 1} entries, got {len(mu)}"
+    if xi[0] != 0.0:
+        return "xi[0] must be 0"
+    if mu[0] != 0.0:
+        return "mu[0] must be 0"
+    if any(b < a for a, b in zip(xi, xi[1:])):
+        return "xi must be nondecreasing"
+    if any(b < a for a, b in zip(mu, mu[1:])):
+        return "mu must be nondecreasing"
+    for i in range(n):
+        width, height = xi[2 * i + 2] - xi[2 * i + 1], mu[i + 1] - mu[i]
+        if height > 0.0 and width <= 0.0:
+            return f"rise {i} has height {height} over zero width (infinite slope)"
+    return None
+
+
+# few distinct values, so that ties, zero widths, overflows and every
+# non-finite value come up often
+_EDGE_VALUES = st.sampled_from(
+    [0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-300, 1e10, 1e308, -1e308, _NAN, _INF, -_INF]
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(_EDGE_VALUES, _EDGE_VALUES), max_size=6), st.booleans())
+def test_profile_accepts_and_refuses_as_its_rules_in_order(points, ordered):
+    if ordered:
+        # mostly valid: finite points, one per x, in order of x
+        points = sorted({p[0]: p for p in points if all(map(math.isfinite, p))}.values())
+    expected = _profile_rules(points)
+    if expected is None:
+        Profile(tuple(points))
+    else:
+        with pytest.raises(ValueError) as info:
+            Profile(tuple(points))
+        assert str(info.value) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(_EDGE_VALUES | st.floats(0.0, 2.0), min_size=3, max_size=9),
+    st.lists(_EDGE_VALUES | st.floats(0.0, 2.0), min_size=1, max_size=5),
+    st.booleans(),
+)
+def test_staircase_accepts_and_refuses_as_its_rules_in_order(n, xi, mu, ordered):
+    if ordered:
+        # mostly valid: zero starts, sorted entries, the right lengths
+        xi = (0.0, *sorted(v for v in xi[: 2 * n + 1] if v == v))
+        mu = (0.0, *sorted(v for v in mu[:n] if v == v))
+    xi, mu = tuple(xi), tuple(mu)
+    expected = _staircase_rules(n, xi, mu)
+    if expected is None:
+        StaircaseParams(n, xi, mu)
+    else:
+        with pytest.raises(ValueError) as info:
+            StaircaseParams(n, xi, mu)
+        assert str(info.value) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(-1e6, 1e6),
+    st.lists(st.tuples(st.floats(1e-6, 1e3), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+)
+def test_profile_slopes_are_the_quotients_of_the_breakpoints_bit_for_bit(x0, steps):
+    # widths of at least 1e-6 against heights of at most 2e6: no slope overflows
+    points = [(x0, 0.0)]
+    for width, y in steps:
+        points.append((points[-1][0] + width, y))
+    profile = Profile(tuple(points))
+    quotients = [(y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(points, points[1:])]
+    assert _bits(profile.slopes) == _bits(quotients)
+    assert profile.breakpoints == tuple(points)

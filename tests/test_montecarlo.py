@@ -202,8 +202,13 @@ def _dense_ray_counts(profile: Profile, n_rays: int) -> np.ndarray:
 def _contours(draw):
     n = draw(st.integers(2, 6))
     low = draw(st.sampled_from([0.0, -3.0]))  # monotone or not
-    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n))
-    slopes = draw(st.lists(st.floats(low, 3.0), min_size=n, max_size=n))
+    # dyadic widths keep slopes of exactly 0 and +-1 exact, and repeated
+    # zeros make plateaus
+    widths = draw(
+        st.lists(st.floats(0.05, 1.0) | st.sampled_from([0.125, 0.25, 0.5]), min_size=n, max_size=n)
+    )
+    exact = st.sampled_from([0.0, 1.0] if low == 0.0 else [0.0, 1.0, -1.0])
+    slopes = draw(st.lists(st.floats(low, 3.0) | exact, min_size=n, max_size=n))
     pts = [(0.0, 0.0)]
     for w, u in zip(widths, slopes):
         pts.append((pts[-1][0] + w, pts[-1][1] + w * u))
@@ -230,14 +235,115 @@ def test_single_collision_agrees_with_dense_rays(profile):
     assert all(counts[i, j] >= 3 for i, j in wide)
 
 
+def _all_pairs_reference(profile: Profile, ray_tol: float) -> tuple[tuple[int, int], ...]:
+    # single_collision_check's evaluation over every row, without the bound:
+    # each segment i against all S + 1 breakpoints in one dense table
+    x, y = np.array(profile.breakpoints).T
+    u = np.array(profile.slopes)
+    dx, dy = reflect((0.0, -1.0), u)
+    width = x[1:] - x[:-1]
+    rx = x - x[:-1, None]
+    ry = y - y[:-1, None]
+    t = rx * (dy / width)[:, None] - ry * (dx / width)[:, None]
+    s = ry - rx * u[:, None]
+    inside = s > 0.0
+    t0, t1, s0, s1 = t[:, :-1], t[:, 1:], s[:, :-1], s[:, 1:]
+    in0, in1 = inside[:, :-1], inside[:, 1:]
+    t_cross = s0 * t1 - s1 * t0
+    np.divide(t_cross, s0 - s1, out=t_cross, where=in0 != in1)
+    ta = np.where(in0, t0, t_cross)
+    tb = np.where(in1, t1, t_cross)
+    extent = np.minimum(np.maximum(ta, tb), 1.0) - np.maximum(np.minimum(ta, tb), 0.0)
+    np.fill_diagonal(extent, 0.0)
+    return tuple(zip(*(idx.tolist() for idx in np.nonzero(extent > ray_tol))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_contours())
+def test_single_collision_equals_the_all_pairs_evaluation(profile):
+    # the bound drops only rows whose pairs have exact extent 0
+    for tol in (1e-9, 3.0 / N_RAYS):
+        report = single_collision_check(profile, ray_tol=tol)
+        assert report.reintersections == _all_pairs_reference(profile, tol)
+
+
+def _rows_evaluated(monkeypatch, profile: Profile) -> int:
+    # every evaluated row reflects its slope once, in one call
+    seen = []
+
+    def counting(velocity, slope):
+        seen.append(np.size(slope))
+        return reflect(velocity, slope)
+
+    monkeypatch.setattr(montecarlo, "reflect", counting)
+    single_collision_check(profile)
+    return sum(seen)
+
+
+def _sawtooth(teeth: int, a: float) -> Profile:
+    # up/down teeth of slope +-a rising to (1, 1): each down face's rays run
+    # right into the next up face
+    w, dy = 1.0 / teeth, 1.0 / teeth
+    up = (w + dy / a) / 2.0
+    pts = [(0.0, 0.0)]
+    for i in range(teeth):
+        pts += [(i * w + up, i * dy + a * up), ((i + 1) * w, (i + 1) * dy)]
+    return Profile(tuple(pts))
+
+
+@pytest.mark.parametrize("rise", [1.0, -1.0])
+def test_single_collision_evaluates_no_row_of_an_exact_staircase(monkeypatch, rise):
+    # dyadic widths: every rise has slope exactly 1 (or -1, the mirror image,
+    # whose rays travel right), every flat 0
+    widths = np.random.default_rng(3).integers(1, 64, 200) / 64.0
+    xs = np.cumsum(np.r_[0.0, widths])
+    ys = np.cumsum(np.r_[0.0, widths * np.tile([rise, 0.0], 100)])
+    profile = Profile(tuple(zip(xs.tolist(), ys.tolist())))
+    assert set(profile.slopes) == {0.0, rise}
+    assert _rows_evaluated(monkeypatch, profile) == 0
+    assert single_collision_check(profile).passed
+
+
+def test_single_collision_evaluates_every_row_of_the_sawtooth(monkeypatch):
+    profile = _sawtooth(4, 3.0)
+    assert _rows_evaluated(monkeypatch, profile) == 8
+    assert single_collision_check(profile).reintersections == _all_pairs_reference(profile, 1e-9)
+    assert {(1, 2), (3, 4), (5, 6)} <= set(single_collision_check(profile).reintersections)
+
+
+def test_single_collision_drops_a_flat_valley_floor(monkeypatch):
+    # both walls rise above the floor, yet its rays are vertical
+    profile = Profile(((0.0, 2.0), (1.0, 0.0), (2.0, 0.0), (3.0, 2.0)))
+    assert _rows_evaluated(monkeypatch, profile) == 2
+    assert single_collision_check(profile).reintersections == _all_pairs_reference(profile, 1e-9)
+
+
+def test_single_collision_passes_a_grazing_convex_contour_at_zero_tolerance():
+    # slopes 0.22, 0.35 and 0.74: evaluated, rounding at the shared vertices
+    # reports (0, 1) and (1, 2) at ray_tol = 0; the bound drops every row
+    profile = Profile(
+        (
+            (0.0, 0.0),
+            (0.1665525504275246, 0.036019887911024284),
+            (0.5382087395561351, 0.16446695626093177),
+            (1.0, 0.5058884832347348),
+        )
+    )
+    assert _all_pairs_reference(profile, 0.0) == ((0, 1), (1, 2))
+    report = single_collision_check(profile, ray_tol=0.0)
+    assert report.passed and report.reintersections == ()
+
+
 @pytest.mark.parametrize("n_seg, block", [(2000, None), (400, 64), (300, 1)])
 def test_single_collision_memory_is_bounded_by_the_block(monkeypatch, n_seg, block):
-    # slopes in [0, 1]: no hits, so the report adds nothing to the peak
+    # convex, slopes in [1.001, 1.5): every row is evaluated (its rays descend),
+    # yet none descends as fast as the contour before it, so there are no
+    # hits and the report adds nothing to the peak
     if block is not None:
         monkeypatch.setattr(montecarlo, "COLLISION_BLOCK", block)
     rng = np.random.default_rng(n_seg)
     widths = rng.uniform(0.5, 1.0, n_seg)
-    ys = np.cumsum(widths * rng.uniform(0.0, 1.0, n_seg))
+    ys = np.cumsum(widths * np.sort(rng.uniform(1.001, 1.5, n_seg)))
     xs = np.cumsum(widths)
     profile = Profile(((0.0, 0.0),) + tuple(zip(xs.tolist(), ys.tolist())))
     profile.slopes
