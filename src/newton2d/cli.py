@@ -107,7 +107,7 @@ def _add_problem_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _problem_spec(args: argparse.Namespace) -> ProblemSpec:
-    return ProblemSpec(r=args.r, H=args.H, variant=Variant(args.variant))
+    return ProblemSpec(r=args.r, H=args.H, variant=args.variant)
 
 
 def _load_profile(path: str) -> tuple[Profile, ProblemSpec]:

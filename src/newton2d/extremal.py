@@ -27,6 +27,7 @@ from .geometry import (
     make_staircase,
     make_triangle,
     profile_to_dict,
+    slope_power,
 )
 
 if TYPE_CHECKING:
@@ -74,12 +75,14 @@ def hamiltonian_derivatives(u: float, lam: float) -> tuple[float, float, float]:
     H''(u)  = -2(3u^2-1)/(1+u^2)^3
     H'''(u) = -24u(1-u^2)/(1+u^2)^4
 
-    The second and third derivatives do not depend on lam.
+    The second and third derivatives do not depend on lam.  A slope |u|
+    above about 3.4e38, where (1+u^2)^4 overflows, raises ValueError.
     """
     q = 1.0 + u * u
+    q4 = slope_power(u, 4, "the Hamiltonian's derivatives")
     d1 = 2.0 * u / q**2 - lam
     d2 = -2.0 * (3.0 * u * u - 1.0) / q**3
-    d3 = -24.0 * u * (1.0 - u * u) / q**4
+    d3 = -24.0 * u * (1.0 - u * u) / q4
     return d1, d2, d3
 
 
@@ -154,13 +157,7 @@ def lambda_for_slope(s: float) -> float:
     (s below about 1.16e77); otherwise ValueError names the slope.
     """
     check_real("slope", s, positive=True)
-    try:
-        denom = (1.0 + s * s) ** 2
-    except OverflowError:
-        denom = math.inf
-    if denom == math.inf:
-        raise ValueError(f"slope {s} is too steep for a multiplier: (1 + s^2)^2 overflows")
-    return 2.0 * s / denom
+    return 2.0 * s / slope_power(s, 2, "a multiplier")
 
 
 def classify_stationary(u: float) -> Classification:
@@ -178,8 +175,6 @@ def classify_stationary(u: float) -> Classification:
 class ExtremalCertificate(Record):
     """Pontryagin-extremal data: normalized multiplier pair and slope analysis."""
 
-    _fields = ("lam", "stationary", "classification", "psi0")
-
     def __init__(
         self,
         lam: float,
@@ -190,9 +185,7 @@ class ExtremalCertificate(Record):
         check_real("lam", lam, positive=True)
         if psi0 != -1.0:
             raise ValueError("psi0 is normalized to -1")
-        self.__dict__.update(
-            lam=lam, stationary=stationary, classification=classification, psi0=psi0
-        )
+        self._init(lam, stationary, classification, psi0)
 
     def psi(self, x: float) -> float:
         """Constant adjoint, identically -lambda."""
@@ -289,15 +282,6 @@ def check_certificate(
 class SolutionReport(Record):
     """Solver outcome: minimizer family, drag value, certificate and notes."""
 
-    _fields = (
-        "variant",
-        "status",
-        "minimal_resistance",
-        "representative_profiles",
-        "certificate",
-        "notes",
-    )
-
     def __init__(
         self,
         variant: Variant,
@@ -311,13 +295,8 @@ class SolutionReport(Record):
             raise ValueError("no-solution reports carry no resistance value")
         if status is SolutionStatus.INFINITE_FAMILY and len(representative_profiles) < 2:
             raise ValueError("infinite-family reports need >= 2 representatives")
-        self.__dict__.update(
-            variant=variant,
-            status=status,
-            minimal_resistance=minimal_resistance,
-            representative_profiles=representative_profiles,
-            certificate=certificate,
-            notes=notes,
+        self._init(
+            variant, status, minimal_resistance, representative_profiles, certificate, notes
         )
 
     def to_dict(self, spec: ProblemSpec) -> dict:
@@ -510,14 +489,6 @@ def enumerate_minimizers(
 class GradientReport(Record):
     """Reduced gradient of the staircase drag at an interior parameter point."""
 
-    _fields = (
-        "analytic",
-        "finite_difference",
-        "analytic_norm",
-        "finite_difference_norm",
-        "coordinate_names",
-    )
-
     def __init__(
         self,
         analytic: tuple[float, ...],
@@ -526,12 +497,9 @@ class GradientReport(Record):
         finite_difference_norm: float,
         coordinate_names: tuple[str, ...],
     ) -> None:
-        self.__dict__.update(
-            analytic=analytic,
-            finite_difference=finite_difference,
-            analytic_norm=analytic_norm,
-            finite_difference_norm=finite_difference_norm,
-            coordinate_names=coordinate_names,
+        self._init(
+            analytic, finite_difference, analytic_norm, finite_difference_norm,
+            coordinate_names,
         )
 
 

@@ -25,12 +25,13 @@ class Variant(Enum):
 class Record:
     """Immutable value record: the part of a frozen dataclass this package uses.
 
-    A subclass lists its field names, in order, in _fields; its __init__
-    sets each field once by updating the instance __dict__, since plain
-    assignment raises.  Two records are equal when they are of the same
-    class and have equal field tuples; a record hashes as its field tuple
-    and prints as Name(field=value!r, ...).  Assigning or deleting any
-    attribute raises AttributeError.  Instances keep their __dict__, so
+    A record's fields are its own __init__'s positional parameters, in
+    order, read into _fields when the class is defined; so each subclass
+    defines __init__, which stores them once with self._init(...), since
+    plain assignment raises.  Two records are equal when they are of the
+    same class and have equal field tuples; a record hashes as its field
+    tuple and prints as Name(field=value!r, ...).  Assigning or deleting
+    any attribute raises AttributeError.  Instances keep their __dict__, so
     functools.cached_property, pickle and copy work as for a plain class.
 
     Records are not dataclasses, so dataclasses.replace, asdict and fields
@@ -39,6 +40,13 @@ class Record:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _init(self, *values: object) -> None:
+        self.__dict__.update(zip(self._fields, values))
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -65,17 +73,19 @@ class Record:
 class ProblemSpec(Record):
     """Base half-width r, height H, slope-control variant and dimension tag."""
 
-    _fields = ("r", "H", "variant", "dimension")
-
     def __init__(
         self, r: float, H: float, variant: Variant = Variant.RESTRICTED, dimension: int = 2
     ) -> None:
-        if isinstance(variant, str):
+        try:
             variant = Variant(variant)
+        except ValueError:
+            raise ValueError(
+                f"variant must be 'restricted' or 'unrestricted', got {variant!r}"
+            ) from None
         check_real("r", r, positive=True)
         check_real("H", H, positive=True)
         check_int("dimension", dimension, 2, 3)
-        self.__dict__.update(r=r, H=H, variant=variant, dimension=dimension)
+        self._init(r, H, variant, dimension)
 
 
 def check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
@@ -114,6 +124,17 @@ def check_real(name: str, value: float, lo=-math.inf, hi=math.inf, *, positive=F
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
+def slope_power(s: float, k: int, use: str) -> float:
+    """(1.0 + s * s) ** k, or ValueError naming the slope where it overflows."""
+    try:
+        power = (1.0 + s * s) ** k
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise ValueError(f"slope {s} is too steep for {use}: (1 + s^2)^{k} overflows")
+    return power
+
+
 def check_seed(rng_seed: int) -> None:
     """The seed rule of every seeded routine: the integer rule, rng_seed >= 0.
 
@@ -138,8 +159,6 @@ class Profile(Record):
     breakpoints alone.
     """
 
-    _fields = ("breakpoints",)
-
     def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
         # a width that is not positive adds no slope, so the input breaks a
         # rule just when the slopes come out short, the width overflows or a
@@ -157,7 +176,8 @@ class Profile(Record):
                 slopes.append((y - py) / width)
             px = x
             py = y
-        self.__dict__.update(breakpoints=tuple(pts), slopes=tuple(slopes))
+        self._init(tuple(pts))
+        self.__dict__["slopes"] = tuple(slopes)
         if not (
             len(slopes) == len(pts) - 1 > 0
             and math.isfinite(px - pts[0][0])
@@ -215,12 +235,10 @@ class StaircaseParams(Record):
     at height mu[i]; rise i spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
     """
 
-    _fields = ("n", "xi", "mu")
-
     def __init__(self, n: int, xi: tuple[float, ...], mu: tuple[float, ...]) -> None:
         xi = tuple([float(v) for v in xi])
         mu = tuple([float(v) for v in mu])
-        self.__dict__.update(n=n, xi=xi, mu=mu)
+        self._init(n, xi, mu)
         check_int("n", n, 1)
         # one pass over flat i, rise i and the heights around it; NaN fails
         # every comparison and the last entries bound the rest, so ok holds
@@ -285,18 +303,14 @@ def _refuse_staircase(params: StaircaseParams) -> None:
 class CounterexampleParams(Record):
     """Slope magnitude of the up/down wedge showing unbounded improvement."""
 
-    _fields = ("a",)
-
     def __init__(self, a: float) -> None:
         check_real("a", a, positive=True)
-        self.__dict__.update(a=a)
+        self._init(a)
 
 
 class ValidationResult(Record):
-    _fields = ("ok", "issues")
-
     def __init__(self, ok: bool, issues: tuple[str, ...] = ()) -> None:
-        self.__dict__.update(ok=ok, issues=issues)
+        self._init(ok, issues)
 
 
 def make_triangle(spec: ProblemSpec) -> Profile:
@@ -397,7 +411,7 @@ def profile_from_dict(data: dict) -> tuple[Profile, ProblemSpec]:
     bool is refused, not converted; every breakpoint must be an [x, y] pair.
     """
     try:
-        spec = ProblemSpec(r=data["r"], H=data["H"], variant=Variant(data["variant"]))
+        spec = ProblemSpec(r=data["r"], H=data["H"], variant=data["variant"])
         points = data["breakpoints"]
         for i, point in enumerate(points):
             if not isinstance(point, (list, tuple)) or len(point) != 2:

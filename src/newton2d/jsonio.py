@@ -11,6 +11,9 @@ from __future__ import annotations
 import json
 from typing import Any
 
+#: Spaces per nesting level of dumps' output.
+INDENT = 2
+
 
 def format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
@@ -19,16 +22,16 @@ def format_float(x: float) -> str:
     return "-0.0" if text == "-0" else text
 
 
-def dumps(obj: Any, indent: int = 2) -> str:
+def dumps(obj: Any) -> str:
     out: list[str] = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+def _write(obj: Any, out: list[str], level: int) -> None:
+    pad = " " * (INDENT * (level + 1))
+    close_pad = " " * (INDENT * level)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -46,7 +49,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("{\n")
         for i, (key, value) in enumerate(obj.items()):
             out.append(f"{pad}{json.dumps(str(key))}: ")
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(f"{close_pad}}}")
     elif isinstance(obj, (list, tuple)):
@@ -57,7 +60,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         out.append("[\n")
         for i, value in enumerate(items):
             out.append(pad)
-            _write(value, out, indent, level + 1)
+            _write(value, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(f"{close_pad}]")
     else:

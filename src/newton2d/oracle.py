@@ -16,7 +16,9 @@ from typing import Callable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .geometry import Profile, ProblemSpec, Variant, check_int, check_real, check_seed
+from .geometry import (
+    Profile, ProblemSpec, Variant, check_int, check_real, check_seed, slope_power
+)
 
 #: Most elements dp_min_resistance lets one of its tables hold: the sums of
 #: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
@@ -165,11 +167,13 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     Both schedules are deterministic, so the reported argmin profile is
     reproducible.
 
-    A grid whose largest table would exceed MAX_TABLE_ELEMENTS is refused,
-    by arithmetic, before anything is allocated: the (M+1)^2 sums of full
-    rows, an upper bound on one restricted product, or the larger of the
-    unrestricted N x (top+1) rise table and the (top+1) x |K| sums of one
-    product.
+    A grid is refused by arithmetic, before anything is allocated, where
+    dh/dx or slope_bound * dx/dh is out of the positive doubles (the
+    message names it), or where its largest table would exceed
+    MAX_TABLE_ELEMENTS: the (M+1)^2 sums of full rows, an upper bound on
+    one restricted product, or the larger of the unrestricted N x (top+1)
+    rise table and the (top+1) x |K| sums of one product.  Where k dh/dx or
+    its square overflows, the cell cost is its limit 0.
     """
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
@@ -187,8 +191,10 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
         ks = np.arange(m + 1)
     else:
         ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
-    slope = ks * (dh / dx)
-    cell_cost = dx / (1.0 + slope * slope)
+    with np.errstate(over="ignore"):
+        # where u or u^2 overflows, the cost is its limit 0 (off by < dx/1.7e308)
+        slope = ks * (dh / dx)
+        cell_cost = dx / (1.0 + slope * slope)
     if restricted:
         values, tree = _square(cell_cost, ks, n)
     else:
@@ -203,15 +209,21 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
     # (k_max, top, elements): the largest rise, the top level and the size of
     # the largest table dp_min_resistance would build, by arithmetic alone
     n, m = config.n_cells, config.n_levels
+    dx = spec.r / n
+    dh = spec.H / m
+    # every cell cost is formed from dh/dx: dx and dh must not underflow to 0
+    if not (dx > 0.0 and 0.0 < dh / dx < math.inf):
+        raise ValueError(f"DP slope quantum dh/dx = {dh!r} / {dx!r} is out of double range")
     if spec.variant is Variant.RESTRICTED:
         # a product forms at most the triangle of (M+1)(M+2)/2 sums; the cap
         # counts the (M+1) x (M+1) full rows above it, an upper bound
         return m, m, (m + 1) ** 2
     if config.slope_bound <= 0.0:
         raise ValueError("unrestricted DP requires a positive slope_bound")
-    dx = spec.r / n
-    dh = spec.H / m
-    k_max = int(math.floor(config.slope_bound * dx / dh + 1e-12))
+    levels = config.slope_bound * dx / dh
+    if levels == math.inf:
+        raise ValueError(f"DP slope_bound * dx/dh = {levels} is out of double range")
+    k_max = int(math.floor(levels + 1e-12))
     if k_max < 1 or n * k_max < m:
         raise ValueError(
             "infeasible grid: required total rise unreachable under slope bound"
@@ -358,7 +370,8 @@ def second_variation_test(
     straight contour: positive for s above sqrt(3)/3 (weak local minimum),
     negative below (not a minimum).  Classification is asserted only for
     the straight contour; the weak (derivative sup-norm) neighborhood
-    notion is what is being tested.
+    notion is what is being tested.  A slope s above about 2.4e51, where
+    (1+s^2)^3 overflows, is refused by name before anything is drawn.
 
     Each trial keeps its own stream, spawned from rng_seed by
     SeedSequence, and its draws fill one row of a trials x (mesh + 1) edge
@@ -373,6 +386,7 @@ def second_variation_test(
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
         r - profile.breakpoints[0][0]
     )
+    expected = (6.0 * s * s - 2.0) / slope_power(s, 3, "the second variation")
     eps = config.epsilon
     trials, mesh = config.trials, config.mesh
     base = 1.0 / (1.0 + s * s)
@@ -403,7 +417,6 @@ def second_variation_test(
     perturbed = s + eps * phi
     deltas = row_sums(widths, 1.0 / (1.0 + perturbed * perturbed) - base)
     ratios = deltas / (0.5 * eps * eps * row_sums(widths, phi * phi))
-    expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
     return PerturbationReport(
         base_slope=s,
         epsilon=eps,

@@ -866,6 +866,8 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
         (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
         (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
         (["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"], "H/r = 1e-16"),
+        (["verify", "--r", "1", "--H", "1e-300", "--variant", "unrestricted",
+          "--oracle", "dp", "--slope-bound", "1e10"], "slope_bound * dx/dh"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):
@@ -887,6 +889,8 @@ def test_unrepresentable_inputs_are_usage_errors(argv, message):
         (["solve", "--r", "1", "--H", "1e160", "--variant", "unrestricted"], "slope 1e+160"),
         (["verify", "--r", "1", "--H", "0.4", "--variant", "restricted",
           "--oracle", "perturb", "--trials", "61681"], "at most 61680 trials"),
+        (["verify", "--r", "1", "--H", "1e120", "--variant", "unrestricted",
+          "--oracle", "perturb"], "slope 1e+120"),
     ],
 )
 def test_overflowing_slopes_and_oversized_trials_are_one_line_errors(argv, message):

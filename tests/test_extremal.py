@@ -77,6 +77,26 @@ def test_hamiltonian_derivatives_against_finite_differences():
         )
 
 
+@settings(max_examples=300, derandomize=True)
+@given(st.floats(min_value=-3.4e38, max_value=3.4e38), st.floats(0.0, 1.0))
+@example(3.4e38, 0.5)
+@example(-3.4e38, 0.5)
+def test_hamiltonian_derivatives_keep_their_formulas_where_finite(u, lam):
+    q = 1.0 + u * u
+    assert hamiltonian_derivatives(u, lam) == (
+        2.0 * u / q**2 - lam,
+        -2.0 * (3.0 * u * u - 1.0) / q**3,
+        -24.0 * u * (1.0 - u * u) / q**4,
+    )
+
+
+@pytest.mark.parametrize("u", [3.5e38, 1e60, -1e60, 1.34e154, 1e200, math.inf])
+def test_hamiltonian_derivatives_name_a_slope_whose_curvature_overflows(u):
+    # (1 + u^2)^4 overflows above about 3.4e38; 1 + u^2 itself above 1.34e154
+    with pytest.raises(ValueError, match=re.escape(f"slope {u!r} is too steep")):
+        hamiltonian_derivatives(u, 0.5)
+
+
 def test_third_derivative_at_threshold():
     _, d2, d3 = hamiltonian_derivatives(SLOPE_THRESHOLD, 0.5)
     assert abs(d2) <= 1e-14

@@ -87,6 +87,10 @@ def _spec_dimension(v):
     return ProblemSpec(1.0, 0.4, dimension=v)
 
 
+def _spec_variant(v):
+    return ProblemSpec(1.0, 0.4, variant=v)
+
+
 def _staircase_n(v):
     return StaircaseParams(n=v, xi=(0.0, 0.6, 1.0, 1.0), mu=(0.0, 0.4))
 
@@ -129,6 +133,8 @@ _CASES = [
     *_int_cases("n_samples", check_sample_count, 2, _rule("n_samples", check_sample_count, MAX_SAMPLES + 1)),
     *_int_cases("n", _family_n, 1, _cap("n", _family_n, 2**20, "count * (2n + 1)")),
     *_int_cases("count", _family_count, 1, _cap("count", _family_count, 2**20, "count * (2n + 1)")),
+    *(_rule("variant", _spec_variant, v) for v in (42, None, "Restricted", ["restricted"])),
+    _rule("variant", lambda v: profile_from_dict({**GOOD_PROFILE, "variant": v}), 0),
     *_real_cases("r", lambda v: ProblemSpec(v, 0.4), _POSITIVE),
     *_real_cases("H", lambda v: ProblemSpec(1.0, v), _POSITIVE),
     *_real_cases("a", CounterexampleParams, _POSITIVE),

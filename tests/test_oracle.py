@@ -161,6 +161,48 @@ def test_dp_table_count_of_bounded_grid():
     assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2200, 400 * 2201)
 
 
+def _unrestricted(r, H):
+    return ProblemSpec(r=r, H=H, variant=Variant.UNRESTRICTED)
+
+
+@pytest.mark.parametrize(
+    "spec, config, name",
+    [
+        # dh/dx = 5e199 / 5e-201 overflows, or r / 2 or H / 2 underflows to 0
+        (ProblemSpec(r=1e-200, H=1e200), DpConfig(2, 2), "dh/dx"),
+        (ProblemSpec(r=5e-324, H=1.0), DpConfig(2, 2), "dh/dx"),
+        (_unrestricted(r=1e-200, H=1e200), DpConfig(2, 2, 1.0), "dh/dx"),
+        (_unrestricted(r=1.0, H=5e-324), DpConfig(2, 2, 1.0), "dh/dx"),
+        # B dx/dh = 1e10 * 5e-3 / 5e-303 overflows
+        (_unrestricted(r=1.0, H=1e-300), DpConfig(200, 200, 1e10), "slope_bound * dx/dh"),
+    ],
+)
+def test_dp_refuses_a_grid_whose_slope_quantum_is_not_a_double(spec, config, name):
+    # arithmetic only: refused before any table is built
+    with pytest.raises(ValueError, match=re.escape(name) + ".* is out of double range"):
+        _grid_extent(spec, config)
+    with pytest.raises(ValueError, match=re.escape(name)):
+        dp_min_resistance(spec, config)
+
+
+@pytest.mark.parametrize(
+    "spec, config, value, breakpoints",
+    [
+        # k dh/dx = k * 1e152 squares past the largest double from k = 134
+        (ProblemSpec(r=1.0, H=1e152), DpConfig(200, 200), 1.0000000000000002e-304,
+         ((0.0, 0.0), (1.0, 1e152))),
+        # every slope 0 < |k| * 1e155 <= 1e156 squares to inf
+        (_unrestricted(r=1.0, H=1e155), DpConfig(2, 2, 1e156), 0.0,
+         ((0.0, 0.0), (0.5, 1.5e155), (1.0, 1e155))),
+    ],
+)
+def test_dp_cell_cost_of_an_overflowing_slope_is_its_limit(spec, config, value, breakpoints):
+    # no RuntimeWarning (the suite makes one an error); outputs as before
+    got, profile = dp_min_resistance(spec, config)
+    assert got == value
+    assert profile.breakpoints == breakpoints
+
+
 def test_dp_refuses_grid_above_table_cap():
     # (6000 + 1)^2 = 3.6e7 sums per product > 2^25: refused before the first
     # product
@@ -549,6 +591,19 @@ def test_second_variation_ratio_matches_curvature(s):
     expected = (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
     assert report.expected_ratio == pytest.approx(expected, rel=1e-12)
     assert report.mean_ratio == pytest.approx(expected, rel=0.05)
+
+
+def test_second_variation_names_a_slope_whose_curvature_overflows():
+    # (1 + s^2)^3 overflows above s = 2.3757e51, before anything is drawn
+    config = PerturbationConfig(epsilon=0.01, trials=4, rng_seed=0)
+    for s in (2.4e51, 1e120):
+        spec = ProblemSpec(r=1.0, H=s, variant=Variant.UNRESTRICTED)
+        with pytest.raises(ValueError, match=re.escape(f"slope {s!r} is too steep")):
+            second_variation_test(make_triangle(spec), spec, config)
+    s = 2.3e51
+    spec = ProblemSpec(r=1.0, H=s, variant=Variant.UNRESTRICTED)
+    report = second_variation_test(make_triangle(spec), spec, config)
+    assert report.expected_ratio == (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
 
 
 def test_second_variation_sign_classifies_the_straight_contour():

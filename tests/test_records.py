@@ -7,10 +7,13 @@ names in order, one value per field, and the fields that have defaults.
 
 import copy
 import dataclasses
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import newton2d
 from newton2d.certificate import CertificateReport
 from newton2d.extremal import (
     Classification,
@@ -136,6 +139,39 @@ def test_records_list_their_fields_in_order(row):
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
     else:
         assert issubclass(cls, Record) and cls._fields == names
+
+
+def _package_records():
+    # every Record subclass defined in the package, each module imported
+    for module in pkgutil.iter_modules(newton2d.__path__):
+        importlib.import_module(f"newton2d.{module.name}")
+    found, stack = set(), [Record]
+    while stack:
+        for cls in stack.pop().__subclasses__():
+            stack.append(cls)
+            if cls.__module__.startswith("newton2d."):
+                found.add(cls)
+    return found
+
+
+def test_every_record_defines_its_own_constructor():
+    # _fields are read from the class's own __init__; an inherited one would
+    # silently give a record its base's fields
+    records = _package_records()
+    assert records == {cls for cls, *_ in RECORDS} - {CertificateReport}
+    for cls in records:
+        assert "__init__" in vars(cls), cls.__name__
+
+
+def test_fields_are_the_positional_parameters_of_the_constructor():
+    class Point(Record):
+        def __init__(self, x, y=0.0, *, scale=1.0):
+            sx = x * scale  # a local, not a field
+            self._init(sx, y * scale)
+
+    assert Point._fields == ("x", "y")
+    assert Point(1.0, scale=2.0) == Point(2.0, 0.0)
+    assert repr(Point(1.0, 2.0)).endswith("Point(x=1.0, y=2.0)")
 
 
 def test_repr_strings_are_those_of_the_dataclasses():
