@@ -21,6 +21,7 @@ from .geometry import (
     Profile,
     ProblemSpec,
     Variant,
+    check_real,
     check_seed,
     make_triangle,
     profile_from_dict,
@@ -273,6 +274,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     from . import oracle
 
+    # every flag is checked before --out is touched
+    check_real("r", r, positive=True)
+    config = oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
     marked = {
         extremal.SLOPE_THRESHOLD * r: "[threshold-sqrt3over3]",
         r: "[crossover-H-equals-r]",
@@ -292,9 +296,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for h in heights:
             spec = ProblemSpec(r=r, H=h, variant=Variant.RESTRICTED)
             report = extremal.solve(spec)
-            dp_value, _ = oracle.dp_min_resistance(
-                spec, oracle.DpConfig(n_cells=args.cells, n_levels=args.levels)
-            )
+            dp_value, _ = oracle.dp_min_resistance(spec, config)
             stair = fmt(report.minimal_resistance) if h <= r else ""
             status = report.status.value + marked.get(h, "")
             lines.append(

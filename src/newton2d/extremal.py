@@ -63,9 +63,16 @@ class SolutionStatus(Enum):
     NO_SOLUTION = "NoSolution"
 
 
-def hamiltonian(u: float, lam: float) -> float:
-    """H(u) = -1/(1+u^2) - lam*u."""
+def _hamiltonian(u: float, lam: float) -> float:
+    # unchecked, for callers whose slopes and multiplier are already checked
     return -1.0 / (1.0 + u * u) - lam * u
+
+
+def hamiltonian(u: float, lam: float) -> float:
+    """H(u) = -1/(1+u^2) - lam*u; u and lam >= 0 pass the real-number rule."""
+    check_real("u", u)
+    check_real("lam", lam, 0.0)
+    return _hamiltonian(u, lam)
 
 
 def hamiltonian_derivatives(u: float, lam: float) -> tuple[float, float, float]:
@@ -75,9 +82,13 @@ def hamiltonian_derivatives(u: float, lam: float) -> tuple[float, float, float]:
     H''(u)  = -2(3u^2-1)/(1+u^2)^3
     H'''(u) = -24u(1-u^2)/(1+u^2)^4
 
-    The second and third derivatives do not depend on lam.  A slope |u|
-    above about 3.4e38, where (1+u^2)^4 overflows, raises ValueError.
+    The second and third derivatives do not depend on lam.  u and lam pass
+    the rules of hamiltonian, except that a slope |u| above about 3.4e38,
+    where (1+u^2)^4 overflows, is refused as too steep, +-inf included.
     """
+    if not (isinstance(u, float) and math.isinf(u)):
+        check_real("u", u)
+    check_real("lam", lam, 0.0)
     q = 1.0 + u * u
     q4 = slope_power(u, 4, "the Hamiltonian's derivatives")
     d1 = 2.0 * u / q**2 - lam
@@ -166,7 +177,9 @@ def classify_stationary(u: float) -> Classification:
     Above the threshold slope H'' < 0 (local maximum of the Hamiltonian),
     below it H'' > 0 (local minimum); within CLASSIFY_TOL of the threshold
     H'' = 0 while H''' = -27*sqrt(3)/16 != 0, so the point is an inflection.
+    A u that the real-number rule refuses raises ValueError.
     """
+    check_real("u", u)
     if abs(u - SLOPE_THRESHOLD) <= CLASSIFY_TOL:
         return Classification.INFLECTION
     return Classification.LOCAL_MAX if u > SLOPE_THRESHOLD else Classification.LOCAL_MIN
@@ -218,8 +231,8 @@ def _hamiltonian_gap(
 ) -> tuple[float, tuple[float, ...], float]:
     # the largest Hamiltonian over the nonnegative slopes, its value at each
     # of the given slopes, and the worst shortfall of one below that maximum
-    h_max = max(hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
-    values = tuple(hamiltonian(u, lam) for u in slopes)
+    h_max = max(_hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
+    values = tuple(_hamiltonian(u, lam) for u in slopes)
     return h_max, values, max((h_max - v for v in values), default=0.0)
 
 

@@ -3,12 +3,14 @@
 Floats are rendered with 17 significant digits so every value round-trips
 exactly and repeated runs produce byte-identical artifacts.  Negative zero
 is written -0.0: a JSON reader parses the "-0" of 17-digit formatting as
-the integer 0, which loses the sign.
+the integer 0, which loses the sign.  Every other scalar is written by
+json.dumps.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 #: Spaces per nesting level of dumps' output.
@@ -16,52 +18,32 @@ INDENT = 2
 
 
 def format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError(f"non-finite float not representable in JSON: {x}")
     text = format(x, ".17g")
     return "-0.0" if text == "-0" else text
 
 
 def dumps(obj: Any) -> str:
-    out: list[str] = []
-    _write(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    return _encode(obj, "\n") + "\n"
 
 
-def _write(obj: Any, out: list[str], level: int) -> None:
-    pad = " " * (INDENT * (level + 1))
-    close_pad = " " * (INDENT * level)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            out.append(f"{pad}{json.dumps(str(key))}: ")
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(f"{close_pad}}}")
+def _encode(obj: Any, newline: str) -> str:
+    # obj's text; newline is the line break and indent of obj's own line,
+    # which its closing bracket repeats and its children indent one level
+    if isinstance(obj, float):
+        return format_float(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    inner = newline + " " * INDENT
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(key))}: {_encode(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(items):
-            out.append(pad)
-            _write(value, out, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(f"{close_pad}]")
+        items = [_encode(value, inner) for value in obj]
+        brackets = "[]"
     else:
         raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]

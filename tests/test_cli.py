@@ -617,6 +617,26 @@ def test_sweep_leaves_out_as_it_was_when_a_row_fails(tmp_path, capsys, monkeypat
         assert target.read_text() == existing
 
 
+@pytest.mark.parametrize("out_dir", ["missing", "."], ids=["unwritable-out", "writable-out"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--cells", "1"], "n_cells must be an int >= 2, got 1"),
+        (["--levels", "1"], "n_levels must be an int >= 2, got 1"),
+        (["--r", "nan"], "r must be positive and finite, got nan"),
+    ],
+    ids=["cells", "levels", "r"],
+)
+def test_sweep_checks_every_flag_before_out(tmp_path, capsys, flags, message, out_dir):
+    # a refused flag is named before --out is opened, so it neither hides
+    # behind an unwritable --out nor leaves a file behind
+    target = tmp_path / out_dir / "s.csv"
+    argv = ["sweep", "--H-min", "0.2", "--H-max", "1", "--steps", "3", *flags, "--out", str(target)]
+    code, out, err = _run(capsys, argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 _SWEEP_SMALL = ["sweep", "--H-min", "0.2", "--H-max", "1.4", "--steps", "3", "--cells", "8", "--levels", "8"]
 
 

@@ -410,6 +410,13 @@ def test_gradient_check_rejects_boundary_points():
         staircase_gradient_check(params, spec)
 
 
+@pytest.mark.parametrize("r, H", [(2.0, 0.4), (1.0, 0.5)])
+def test_gradient_check_rejects_parameters_of_another_spec(r, H):
+    params = StaircaseParams(n=1, xi=(0.0, 0.3, 0.7, 1.0), mu=(0.0, 0.4))
+    with pytest.raises(ValueError, match="staircase parameters inconsistent with problem spec"):
+        staircase_gradient_check(params, ProblemSpec(r=r, H=H))
+
+
 @pytest.mark.parametrize("seed", [-1, True, 2.0, None])
 def test_enumerate_minimizers_rejects_bad_seeds(seed):
     with pytest.raises(ValueError, match="rng_seed must be a non-negative int"):

@@ -186,6 +186,17 @@ def test_difference_vanishes_at_xi_equal_r():
     assert resistance_difference_closed_form(spec.r, spec) == 0.0
 
 
+@pytest.mark.parametrize("r, H", [(1.3, 0.7), (1.0, 0.4), (0.5, 2.0)])
+def test_difference_at_xi_zero_is_the_triangle_less_the_flat(r, H):
+    # a zero-width rise has no drag, so the branch is the flat of width r;
+    # the direct difference rounds at the scale of r, a few ulps of it
+    spec = ProblemSpec(r=r, H=H)
+    assert resistance_difference(0.0, spec) == triangle_resistance(spec) - spec.r
+    assert resistance_difference(0.0, spec) == pytest.approx(
+        resistance_difference_closed_form(0.0, spec), rel=0.0, abs=4 * math.ulp(r)
+    )
+
+
 EPS = np.finfo(float).eps
 
 

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newton2d import jsonio
@@ -129,6 +129,13 @@ def test_staircase_rejects_endpoint_mismatch():
     spec = ProblemSpec(r=2.0, H=1.0)
     params = StaircaseParams(n=1, xi=(0.0, 0.0, 1.0, 1.0), mu=(0.0, 1.0))
     with pytest.raises(ValueError, match="spec.r"):
+        make_staircase(spec, params)
+
+
+def test_staircase_rejects_height_mismatch():
+    spec = ProblemSpec(r=1.0, H=2.0)
+    params = StaircaseParams(n=1, xi=(0.0, 0.0, 1.0, 1.0), mu=(0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("mu[-1] = 1.0 does not match spec.H = 2.0")):
         make_staircase(spec, params)
 
 
@@ -371,6 +378,111 @@ def test_json_writes_empty_containers_inline():
 def test_json_refuses_unsupported_types():
     with pytest.raises(TypeError, match="unsupported type for JSON output"):
         jsonio.dumps({"x": {1, 2}})
+
+
+# The out-list writer that dumps replaced, kept as it was (with INDENT = 2) as
+# the reference for its bytes, errors and messages.
+def _reference_format_float(x):
+    if x != x or x in (float("inf"), float("-inf")):
+        raise ValueError(f"non-finite float not representable in JSON: {x}")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text
+
+
+def _reference_dumps(obj):
+    out = []
+    _reference_write(obj, out, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def _reference_write(obj, out, level):
+    pad = " " * (2 * (level + 1))
+    close_pad = " " * (2 * level)
+    if obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        out.append(_reference_format_float(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        for i, (key, value) in enumerate(obj.items()):
+            out.append(f"{pad}{json.dumps(str(key))}: ")
+            _reference_write(value, out, level + 1)
+            out.append(",\n" if i < len(obj) - 1 else "\n")
+        out.append(f"{close_pad}}}")
+    elif isinstance(obj, (list, tuple)):
+        items = list(obj)
+        if not items:
+            out.append("[]")
+            return
+        out.append("[\n")
+        for i, value in enumerate(items):
+            out.append(pad)
+            _reference_write(value, out, level + 1)
+            out.append(",\n" if i < len(items) - 1 else "\n")
+        out.append(f"{close_pad}]")
+    else:
+        raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
+
+
+def _json_outcome(dumps, obj):
+    try:
+        return dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7976931348623157e308]),
+)
+_JSON_SCALARS = st.one_of(
+    _JSON_FLOATS,
+    st.integers(-(2**80), 2**80),
+    st.booleans(),
+    st.none(),
+    st.text(),
+    st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11e'),
+)
+# a NaN, an infinity or an unsupported value somewhere in the tree
+_JSON_REFUSED = st.sampled_from(
+    [math.nan, math.inf, -math.inf, {1, 2}, frozenset(), b"x", object(), np.float32(1), np.int64(1)]
+)
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(_JSON_KEYS, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees(_JSON_SCALARS))
+@example({"q\"\\\n\u00e9\U0001d11e": [[], {}, (), -0.0, 5e-324, 2**53 + 1, True, None]})
+def test_json_writes_the_bytes_of_the_reference_writer(obj):
+    assert jsonio.dumps(obj) == _reference_dumps(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_trees(st.one_of(_JSON_SCALARS, _JSON_REFUSED)))
+def test_json_refuses_what_the_reference_writer_refuses(obj):
+    assert _json_outcome(jsonio.dumps, obj) == _json_outcome(_reference_dumps, obj)
 
 
 def test_profile_from_dict_rejects_malformed_data():

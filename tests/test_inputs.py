@@ -19,7 +19,10 @@ from hypothesis import strategies as st
 import newton2d
 from newton2d.extremal import (
     check_certificate,
+    classify_stationary,
     enumerate_minimizers,
+    hamiltonian,
+    hamiltonian_derivatives,
     io_staircase_params,
     lambda_for_slope,
     staircase_gradient_check,
@@ -116,6 +119,10 @@ def _impact(v):
     return impact_at(TRIANGLE, v)
 
 
+def _slope_derivatives(v):
+    return hamiltonian_derivatives(v, 0.5)
+
+
 _DP_CAP = "use a smaller n_cells or n_levels"
 _POSITIVE = (0.0, -1.0)
 
@@ -144,6 +151,13 @@ _CASES = [
         "slope", lambda_for_slope, 1e100, "slope 1e+100 is too steep")),
     *_real_cases("lam", stationary_slopes, _POSITIVE),
     *_real_cases("lam", lambda v: check_certificate(FAMILY_MEMBER, SPEC, v), _POSITIVE),
+    *_real_cases("u", lambda v: hamiltonian(v, 0.5), ()),
+    *_real_cases("lam", lambda v: hamiltonian(0.5, v), (-1.0,)),
+    # +-inf is too steep for the derivatives, as every |u| above about 3.4e38
+    *(_rule("u", _slope_derivatives, v) for v in (True, "1", math.nan, HUGE)),
+    *(_cap("u", _slope_derivatives, v, f"slope {v} is too steep") for v in (math.inf, -math.inf)),
+    *_real_cases("lam", lambda v: hamiltonian_derivatives(0.5, v), (-1.0,)),
+    *_real_cases("u", classify_stationary, ()),
     *_real_cases("tol", lambda v: check_certificate(FAMILY_MEMBER, SPEC, 0.5, tol=v), (-1e-9,)),
     *_real_cases("step", lambda v: finite_difference_gradient(lambda p: 0.0, np.zeros(1), v), _POSITIVE),
     *_real_cases("fd_step", lambda v: staircase_gradient_check(INTERIOR, SPEC, fd_step=v), _POSITIVE),
@@ -199,9 +213,9 @@ def test_ints_within_the_doubles_pass_the_real_number_rule(value):
         check_real("v", value, positive=True)
 
 
-# the functions allowed to test isinstance(..., bool): the two rules and the
-# JSON serializer, which writes a bool as true or false
-_BOOL_TESTS = {"geometry": ["check_int", "check_real"], "jsonio": ["_write"]}
+# the functions allowed to test isinstance(..., bool): the two rules alone,
+# since the JSON writer leaves bool, like every scalar but float, to json
+_BOOL_TESTS = {"geometry": ["check_int", "check_real"]}
 
 
 def _bool_tests(tree):
