@@ -367,11 +367,14 @@ def solve(spec: ProblemSpec) -> SolutionReport:
     doubles (H/r about 1.1e-16 or less), or so far off slope 1 that a
     representative fails the certificate it is printed with (at r = 1,
     every H/r below about 1e-13 and some up to 2e-12), is refused, naming H/r.
+    So is a body whose H/r overflows a double, before any profile is built.
     """
     if spec.dimension != 2:
         raise ValueError("closed-form solver covers dimension 2 only")
     r, H = spec.r, spec.H
     ratio = H / r
+    if ratio == math.inf:
+        raise ValueError(f"H/r = {H!r} / {r!r} overflows a double")
     if spec.variant is Variant.UNRESTRICTED:
         if ratio <= SLOPE_THRESHOLD:
             return SolutionReport(

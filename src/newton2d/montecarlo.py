@@ -82,9 +82,12 @@ def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     row 0 holding the x components and row 1 the y components.  Where
     1 + u^2 overflows (|u| above about 1.34e154) the normal is its limit
     (-sign u, 1/|u|), within 1/(2 u^2) relative of the exact one, below
-    rounding.
+    rounding.  Each velocity component must pass the real-number rule.
     """
-    vx, vy = np.asarray(velocity, dtype=float).tolist()
+    vx, vy = velocity
+    check_real("velocity x", vx)
+    check_real("velocity y", vy)
+    vx, vy = float(vx), float(vy)
     norm = math.hypot(vx, vy)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"velocity must be a unit vector, |v| = {norm}")

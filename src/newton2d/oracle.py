@@ -21,9 +21,10 @@ from .geometry import (
 )
 
 #: Most elements dp_min_resistance lets one of its tables hold: the sums of
-#: one (min,+) product, or the unrestricted DP's rise table (2^25 int32 are
-#: 128 MiB).  A restricted product counts as (M+1)^2 sums, an upper bound on
-#: the triangle it forms.  A larger grid is refused before anything is built.
+#: one (min,+) product, or the unrestricted DP's rise table (2^25 int8 are
+#: 32 MiB, int16 64 MiB, int32 128 MiB).  A restricted product counts as
+#: (M+1)^2 sums, an upper bound on the triangle it forms.  A larger grid is
+#: refused before anything is built.
 MAX_TABLE_ELEMENTS = 2**25
 
 #: Most sums one row block of a DP (min,+) product holds (512 KiB of
@@ -145,7 +146,10 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     negative, and the contour must stay at or above level 0 at every
     prefix.  The order of the rises then matters and the squaring argument
     fails, so this variant chains the product cell by cell,
-    cost'[j] = min_k cost[j - k] + c(k), with an N x (top+1) rise table.
+    cost'[j] = min_k cost[j - k] + c(k), with an N x (top+1) rise table in
+    the narrowest signed integer that holds +-k_max: one byte a rise up to
+    k_max = 127 (400 x 2201 at B = 10 is 0.88 MB), two up to 32767, four
+    beyond.
     K's tie order is (|k|, k): ties go to the smallest |k|, then the
     downward rise.  Cell i+1 (0-based step i) evaluates only the band of
     levels that lie on some contour from level 0 to level M,
@@ -179,13 +183,7 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     dx = spec.r / n
     dh = spec.H / m
     restricted = spec.variant is Variant.RESTRICTED
-    k_max, top, elements = _grid_extent(spec, config)
-    if elements > MAX_TABLE_ELEMENTS:
-        raise ValueError(
-            f"DP grid too large: its largest table would hold {elements} "
-            f"elements, above the cap of {MAX_TABLE_ELEMENTS}; use a smaller "
-            "n_cells or n_levels, or a smaller slope_bound"
-        )
+    k_max, top = check_grid(spec, config)
     if restricted:
         # the rise of each cell cost, and each product's shares (see _square)
         ks = np.arange(m + 1)
@@ -203,6 +201,22 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     if restricted:
         rises.sort()
     return float(values[m]), _grid_profile(spec, n, m, rises)
+
+
+def check_grid(spec: ProblemSpec, config: DpConfig) -> tuple[int, int]:
+    """(k_max, top) of the grid dp_min_resistance would run, or ValueError.
+
+    The grid rules of dp_min_resistance, by arithmetic alone: nothing is
+    allocated, so a caller can refuse a grid before it does other work.
+    """
+    k_max, top, elements = _grid_extent(spec, config)
+    if elements > MAX_TABLE_ELEMENTS:
+        raise ValueError(
+            f"DP grid too large: its largest table would hold {elements} "
+            f"elements, above the cap of {MAX_TABLE_ELEMENTS}; use a smaller "
+            "n_cells or n_levels, or a smaller slope_bound"
+        )
+    return k_max, top
 
 
 def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
@@ -307,7 +321,9 @@ def _chain(cell_cost, ks, n, m, top):
     windows = [sliding_window_view(buffer, 2 * k_max + 1) for buffer in buffers]
     levels = buffers[:, k_max : k_max + top + 1]
     levels[0, 0] = 0.0
-    rises = np.empty((n, top + 1), dtype=np.int32)
+    # the narrowest signed type that holds +k_max: -k_max alone would pick
+    # int8 at k_max = 128, where +128 wraps
+    rises = np.empty((n, top + 1), dtype=np.min_scalar_type(-k_max - 1))
     tree = None
     for i in range(n):
         left = (n - i - 1) * k_max

@@ -624,8 +624,12 @@ def test_sweep_leaves_out_as_it_was_when_a_row_fails(tmp_path, capsys, monkeypat
         (["--cells", "1"], "n_cells must be an int >= 2, got 1"),
         (["--levels", "1"], "n_levels must be an int >= 2, got 1"),
         (["--r", "nan"], "r must be positive and finite, got nan"),
+        # the DP's table cap, stated once by oracle.check_grid
+        (["--levels", "6000"], "DP grid too large: its largest table would hold 36012001 "
+         "elements, above the cap of 33554432; use a smaller n_cells or n_levels, or a "
+         "smaller slope_bound"),
     ],
-    ids=["cells", "levels", "r"],
+    ids=["cells", "levels", "r", "levels-above-cap"],
 )
 def test_sweep_checks_every_flag_before_out(tmp_path, capsys, flags, message, out_dir):
     # a refused flag is named before --out is opened, so it neither hides
@@ -886,6 +890,10 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
         (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
         (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
         (["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"], "H/r = 1e-16"),
+        (["solve", "--r", "1e-310", "--H", "1", "--variant", "restricted"],
+         "H/r = 1.0 / 1e-310 overflows"),
+        (["solve", "--r", "1e-300", "--H", "1e10", "--variant", "unrestricted"],
+         "H/r = 10000000000.0 / 1e-300 overflows"),
         (["verify", "--r", "1", "--H", "1e-300", "--variant", "unrestricted",
           "--oracle", "dp", "--slope-bound", "1e10"], "slope_bound * dx/dh"),
     ],

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from newton2d import extremal
 from newton2d.extremal import (
     LAMBDA_MAX,
     MAX_FAMILY_ELEMENTS,
@@ -312,6 +313,21 @@ def test_closed_forms_scale_exactly(r, H, k):
 def test_solve_rejects_dimension_3():
     with pytest.raises(ValueError):
         solve(ProblemSpec(r=1.0, H=1.0, dimension=3))
+
+
+@pytest.mark.parametrize(
+    "r, H, variant",
+    [(1e-310, 1.0, "restricted"), (1e-300, 1e10, "unrestricted"), (1e-300, 1e10, "restricted")],
+)
+def test_solve_refuses_an_overflowing_h_over_r_before_any_profile(monkeypatch, r, H, variant):
+    # H/r is +inf: refused by name, not as a non-finite segment slope
+    def no_profile(*args):
+        raise AssertionError("a profile was built")
+
+    monkeypatch.setattr(extremal, "make_triangle", no_profile)
+    monkeypatch.setattr(extremal, "make_staircase", no_profile)
+    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} / {r!r} overflows a double")):
+        solve(ProblemSpec(r=r, H=H, variant=variant))
 
 
 def test_solve_to_dict_shape():

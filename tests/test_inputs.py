@@ -39,7 +39,7 @@ from newton2d.geometry import (
     make_triangle,
     profile_from_dict,
 )
-from newton2d.montecarlo import MAX_SAMPLES, check_sample_count, impact_at
+from newton2d.montecarlo import MAX_SAMPLES, check_sample_count, impact_at, reflect
 from newton2d.oracle import (
     MAX_PERTURB_ELEMENTS,
     DpConfig,
@@ -163,6 +163,9 @@ _CASES = [
     *_real_cases("fd_step", lambda v: staircase_gradient_check(INTERIOR, SPEC, fd_step=v), _POSITIVE),
     *_real_cases("x", TRIANGLE.segment_index, (-0.5,), _rule("x", TRIANGLE.segment_index, 1.5)),
     *_real_cases("x", _impact, (-0.5,), _rule("x", _impact, 1.5)),
+    # each component before the unit-norm test, which NaN would pass vacuously
+    *_real_cases("velocity x", lambda v: reflect((v, -1.0), 1.0), ()),
+    *_real_cases("velocity y", lambda v: reflect((0.0, v), 1.0), ()),
     *_real_cases("r", lambda v: profile_from_dict({**GOOD_PROFILE, "r": v}), (0.0,)),
     *_real_cases("H", lambda v: profile_from_dict({**GOOD_PROFILE, "H": v}), (0.0,)),
     *_real_cases("breakpoint 1 x", lambda v: _breakpoints([[0.0, 0.0], [v, 0.4]]), ()),
@@ -186,6 +189,11 @@ def test_every_public_numeric_input_refuses_a_bad_value_by_name(call, value, mes
         call(value)
     if names_value:
         assert str(info.value).endswith(f", got {value!r}")
+
+
+@pytest.mark.parametrize("velocity", [(0, -1), (np.float64(0.0), np.float64(-1.0)), np.array([0.0, -1.0])])
+def test_reflect_takes_int_and_numpy_float_components(velocity):
+    assert np.array_equal(reflect(velocity, 0.5), reflect((0.0, -1.0), 0.5))
 
 
 @given(st.integers(-(2**70), 2**70), st.integers(0, 2**70), st.data())

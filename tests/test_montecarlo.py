@@ -483,6 +483,30 @@ def test_counts_and_estimate_match_the_per_sample_reference(profile, n_samples, 
     assert est.std_error == pytest.approx(std_error, rel=bound, abs=bound * mean)
 
 
+_FIVE_SEGMENTS = Profile(((0.0, 0.0), (0.15, 0.05), (0.4, 0.05), (0.55, 0.3), (0.8, 0.35), (1.0, 0.6)))
+_FORTY_SEGMENTS = Profile(tuple((i / 40, 0.25 * (i % 2) + i / 80) for i in range(41)))
+
+
+@pytest.mark.parametrize(
+    "profile, n_samples, rng_seed, estimate, std_error",
+    [
+        # 4 interior breakpoints, the comparison rule
+        (_FIVE_SEGMENTS, 5000, 4, 0.7435855424346098, 0.004255159789049532),
+        # 39 interior breakpoints, above MC_DIRECT_MAX: the sorting rule
+        (_FORTY_SEGMENTS, 5000, 20, 0.009975410189318138, 1.3932369470911585e-05),
+        # more samples than MC_CHUNK, so the counts add over four chunks
+        (_FIVE_SEGMENTS, 100_000, 18, 0.7413342923518377, 0.0009565439855691513),
+        (_FORTY_SEGMENTS, 100_000, 3, 0.00997546929352008, 3.1150762403958247e-06),
+    ],
+    ids=["direct", "sorted", "direct-chunks", "sorted-chunks"],
+)
+def test_estimate_keeps_its_bits(profile, n_samples, rng_seed, estimate, std_error):
+    # literals recorded from the estimator's np.sum of S products: a
+    # different summation (math.fsum, say) moves the last bit of each
+    got = estimate_resistance(profile, n_samples, rng_seed)
+    assert (got.estimate, got.std_error) == (estimate, std_error)
+
+
 @pytest.mark.parametrize("chunk", [1, 7, 2**10])
 def test_estimate_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
     # 5003 is a multiple of none of the chunks, so every run ends short

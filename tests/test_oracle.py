@@ -161,6 +161,28 @@ def test_dp_table_count_of_bounded_grid():
     assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2200, 400 * 2201)
 
 
+@pytest.mark.parametrize(
+    "k_max, dtype", [(1, np.int8), (127, np.int8), (128, np.int16), (1000, np.int16)]
+)
+def test_dp_bounded_rise_table_is_the_narrowest_type_that_holds_k_max(monkeypatch, k_max, dtype):
+    # N = 4, M = 4 k_max at slope_bound 1 = k_max dh/dx: the only 0 -> M
+    # contour rises +k_max in every cell, the largest rise the table holds
+    # (a type picked for -k_max alone is int8 at 128, where +128 wraps)
+    dtypes = set()
+    product = oracle._product
+
+    def recording(window, b, ks, cols, values, rises):
+        dtypes.add(rises.dtype)
+        product(window, b, ks, cols, values, rises)
+
+    monkeypatch.setattr(oracle, "_product", recording)
+    spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
+    value, profile = dp_min_resistance(spec, DpConfig(4, 4 * k_max, 1.0))
+    assert dtypes == {np.dtype(dtype)}
+    assert value == 0.5
+    assert profile.breakpoints == ((0.0, 0.0), (1.0, 1.0))
+
+
 def _unrestricted(r, H):
     return ProblemSpec(r=r, H=H, variant=Variant.UNRESTRICTED)
 
