@@ -890,12 +890,12 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
         (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
         (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
         (["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"], "H/r = 1e-16"),
+        (["verify", "--r", "1", "--H", "1e-300", "--variant", "unrestricted",
+          "--oracle", "dp", "--slope-bound", "1e10"], "slope_bound * dx/dh"),
         (["solve", "--r", "1e-310", "--H", "1", "--variant", "restricted"],
          "H/r = 1.0 / 1e-310 overflows"),
         (["solve", "--r", "1e-300", "--H", "1e10", "--variant", "unrestricted"],
          "H/r = 10000000000.0 / 1e-300 overflows"),
-        (["verify", "--r", "1", "--H", "1e-300", "--variant", "unrestricted",
-          "--oracle", "dp", "--slope-bound", "1e10"], "slope_bound * dx/dh"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):
