@@ -21,6 +21,7 @@ from .geometry import (
     Record,
     StaircaseParams,
     Variant,
+    aspect_ratio,
     check_int,
     check_real,
     check_seed,
@@ -372,9 +373,7 @@ def solve(spec: ProblemSpec) -> SolutionReport:
     if spec.dimension != 2:
         raise ValueError("closed-form solver covers dimension 2 only")
     r, H = spec.r, spec.H
-    ratio = H / r
-    if ratio == math.inf:
-        raise ValueError(f"H/r = {H!r} / {r!r} overflows a double")
+    ratio = aspect_ratio(spec)
     if spec.variant is Variant.UNRESTRICTED:
         if ratio <= SLOPE_THRESHOLD:
             return SolutionReport(

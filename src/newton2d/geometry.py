@@ -124,6 +124,22 @@ def check_real(name: str, value: float, lo=-math.inf, hi=math.inf, *, positive=F
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
 
 
+def _number(name: str, value: object) -> float:
+    # the type rule of Profile and StaircaseParams, their first rule: a float
+    # as it is, anything else by the real-number rule, as a float
+    if not isinstance(value, float):
+        check_real(name, value)
+    return float(value)
+
+
+def aspect_ratio(spec: ProblemSpec) -> float:
+    """H/r, or ValueError naming it where it overflows a double."""
+    ratio = spec.H / spec.r
+    if ratio == math.inf:
+        raise ValueError(f"H/r = {spec.H!r} / {spec.r!r} overflows a double")
+    return ratio
+
+
 def slope_power(s: float, k: int, use: str) -> float:
     """(1.0 + s * s) ** k, or ValueError naming the slope where it overflows."""
     try:
@@ -147,6 +163,8 @@ def check_seed(rng_seed: int) -> None:
 class Profile(Record):
     """Piecewise-linear contour given by its breakpoints.
 
+    Coordinates are floats, or ints within the doubles, stored as floats;
+    bool, str and other types are refused first, naming the coordinate.
     Breakpoints are finite and their x-coordinates strictly increasing; a
     positive jump in y over zero width would mean an infinite slope and is
     rejected at construction time.  So are a width x_n - x_0 or a slope
@@ -168,8 +186,10 @@ class Profile(Record):
         slopes = []
         px = py = math.nan
         for x, y in breakpoints:
-            x = float(x)
-            y = float(y)
+            if type(x) is not float:
+                x = _number(f"breakpoint {len(pts)} x", x)
+            if type(y) is not float:
+                y = _number(f"breakpoint {len(pts)} y", y)
             pts.append((x, y))
             width = x - px
             if width > 0.0:
@@ -231,13 +251,15 @@ class StaircaseParams(Record):
     """Breakpoint parameters (xi, mu) of an alternating flat/rise contour.
 
     xi has 2n+2 entries 0 = xi[0] <= ... <= xi[2n+1]; mu has n+1 entries
-    0 = mu[0] <= ... <= mu[n], all finite.  Flats sit on [xi[2i], xi[2i+1]]
-    at height mu[i]; rise i spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
+    0 = mu[0] <= ... <= mu[n], all finite floats, or ints within the doubles,
+    stored as floats; bool, str and other types are refused first, naming
+    the entry.  Flats sit on [xi[2i], xi[2i+1]] at height mu[i]; rise i
+    spans [xi[2i+1], xi[2i+2]] from mu[i] to mu[i+1].
     """
 
     def __init__(self, n: int, xi: tuple[float, ...], mu: tuple[float, ...]) -> None:
-        xi = tuple([float(v) for v in xi])
-        mu = tuple([float(v) for v in mu])
+        xi = tuple([v if type(v) is float else _number(f"xi[{i}]", v) for i, v in enumerate(xi)])
+        mu = tuple([v if type(v) is float else _number(f"mu[{i}]", v) for i, v in enumerate(mu)])
         self._init(n, xi, mu)
         check_int("n", n, 1)
         # one pass over flat i, rise i and the heights around it; NaN fails
@@ -314,7 +336,11 @@ class ValidationResult(Record):
 
 
 def make_triangle(spec: ProblemSpec) -> Profile:
-    """Single-segment contour (0,0) -> (r,H); slope H/r everywhere."""
+    """Single-segment contour (0,0) -> (r,H); slope H/r everywhere.
+
+    An H/r that overflows a double is refused, naming H/r.
+    """
+    aspect_ratio(spec)
     return Profile(((0.0, 0.0), (spec.r, spec.H)))
 
 

@@ -20,11 +20,10 @@ from .geometry import (
     Profile, ProblemSpec, Variant, check_int, check_real, check_seed, slope_power
 )
 
-#: Most elements dp_min_resistance lets one of its tables hold: the sums of
-#: one (min,+) product, or the unrestricted DP's rise table (2^25 int8 are
-#: 32 MiB, int16 64 MiB, int32 128 MiB).  A restricted product counts as
-#: (M+1)^2 sums, an upper bound on the triangle it forms.  A larger grid is
-#: refused before anything is built.
+#: Most sums dp_min_resistance lets one (min,+) product hold, counted as
+#: (T+1)^2 for its target level T (M, or M + N k_max when slope-bounded), an
+#: upper bound on the triangle a product forms.  A larger grid is refused
+#: before anything is built.
 MAX_TABLE_ELEMENTS = 2**25
 
 #: Most sums one row block of a DP (min,+) product holds (512 KiB of
@@ -45,7 +44,7 @@ class DpConfig:
     rule with slope_bound >= 0.  slope_bound is ignored by the restricted
     variant and must be positive for the unrestricted one, whose drag
     infimum is zero without a slope bound.  dp_min_resistance states the
-    DP's design: its slope sets, schedules, tie rules, cost and size cap.
+    DP's design: its slope sets, schedule, tie rule, cost and size cap.
     """
 
     n_cells: int
@@ -108,104 +107,89 @@ def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profi
     x_i = i*r/N, y = j*H/M.  Each cell rises k levels, k in a slope set K,
     at exact cost c(k) = dx / (1 + u^2) with u = k (dh / dx), a form that
     scales with the body (dx^3 would underflow or overflow at extreme r).
+    Restricted, K = 0..M; unrestricted, K = -k_max..k_max with
+    k_max = floor(slope_bound * dx/dh), and the contour must also stay at or
+    above level 0 at every prefix.
 
-    Both variants run one (min,+) product over levels within 0..top,
-    (a * b)[j] = min_k a[j - k] + b[k] with k in K, whose ties go to the
-    first minimum in K's tie order, and one backtrack through the tree of
-    products; the variant alone picks the schedule.  A product forms its
-    sums in row blocks of at most DP_BLOCK.
+    Both variants run one schedule.  The drag is a sum of per-cell costs
+    that does not depend on the order of the cells, so the grid optimum over
+    multisets of N rises is the N-th (min,+) power of c,
+    (a * b)[j] = min_k a[j - k] + b[k], at the target level T:
 
-    Restricted, K = 0..M, top = M: the drag is a sum of per-cell costs that
-    does not depend on the order of the cells, so the grid optimum is the
-    N-th (min,+) power of c.  It is computed by exponentiation by squaring:
-    at most 2 floor(log2 N) products, O(M^2 log N) time, and one (M+1) rise
-    array per product, O(M log N) storage.  Each product multiplies a power
-    a of the cell into the result b so far, or squares a (b = a).  K's tie
-    order is 0..M, so a tie gives b its smallest share and a its largest.
-    A product forms only the sums that can win:
+    * restricted, T = M;
+    * unrestricted, rise k is shifted to level k + k_max in 0..2 k_max of
+      one cell, and the target to T = M' = M + N k_max, so that every level
+      is >= 0 as in the restricted case.  This is exact, since the prefix
+      rule does not bind: take any multiset of rises with sum M >= 0 and
+      order it steepest first.  Its prefixes rise to the sum P of its
+      positive rises, then fall monotonically to M, so they never leave
+      [0, P].
 
-    * row j reads shares k <= j, since level j - k < 0 is unreachable: the
-      triangle of (M+1)(M+2)/2 sums, not the (M+1)^2 of full rows;
-    * a square (a = b) reads only b's shares k <= floor(j/2).  Its sums
+    The profile takes the rises of the argmin steepest first when
+    unrestricted, so it is admissible, and flattest first when restricted,
+    where any order is; either way it has one segment per distinct slope.
+
+    The power is computed by exponentiation by squaring: at most
+    2 floor(log2 N) products, each multiplying a power a of the cell into
+    the result b so far, or squaring a (b = a), and one rise array per
+    product for the backtrack, O(T log N) storage.  A factor of p cells
+    carries its top, min(p w, T) for a cell of top w (M, or 2 k_max): no
+    level above it is reachable.  Ties go to the first minimum in b's
+    shares 0, 1, ...: b's smallest share and a's largest.  A product forms
+    only the sums that can win:
+
+    * rows j <= min(top_a + top_b, T), the row trim: a higher level is
+      unreachable or above the target.  In the restricted variant every top
+      is M, so the trim leaves every product as it was;
+    * row j reads the shares k <= j, since level j - k < 0 is unreachable:
+      at most the triangle of (T+1)(T+2)/2 sums, not the (T+1)^2 of full
+      rows;
+    * a square (a = b) reads only shares k <= floor(j/2).  Its sums
       a[j-k] + a[k] and a[k] + a[j-k] are one double (IEEE addition
       commutes), so a minimum at k is also one at j - k, and the smallest
       minimizing share, the one the tie rule picks, is at most j/2: value
-      and share are those of the full row, over about (M+1)^2/4 sums;
-    * the last product forms row M only, the one row the backtrack reads.
+      and share are those of the full row, over about a quarter of the
+      square's sums;
+    * the last product forms row T only, the one row the backtrack reads.
 
-    A row block takes the columns its last row reaches, a rectangle over its
-    part of the triangle, so each product stays within DP_BLOCK sums a
-    block.  At N = M = 400 (eight squares and two other products) that is
-    655887 sums, against 10 * 401^2 = 1608010 over full rows.  The
-    backtrack yields the multiset of N rises; the profile takes them
-    flattest first (canonical and optimal, as any order is), which gives at
-    most one segment per distinct slope.  The value is summed along the
-    product tree, so it differs from a cell-by-cell sum only by rounding.
-
-    Unrestricted, K = {k : |k * dh / dx| <= slope_bound}: rises may be
-    negative, and the contour must stay at or above level 0 at every
-    prefix.  The order of the rises then matters and the squaring argument
-    fails, so this variant chains the product cell by cell,
-    cost'[j] = min_k cost[j - k] + c(k), with an N x (top+1) rise table in
-    the narrowest signed integer that holds +-k_max: one byte a rise up to
-    k_max = 127 (400 x 2201 at B = 10 is 0.88 MB), two up to 32767, four
-    beyond.
-    K's tie order is (|k|, k): ties go to the smallest |k|, then the
-    downward rise.  Cell i+1 (0-based step i) evaluates only the band of
-    levels that lie on some contour from level 0 to level M,
-
-        lo_i = max(0, M - (N-i-1) k_max),
-        hi_i = min((i+1) k_max, M + (N-i-1) k_max),
-
-    since i+1 cells rise at most (i+1) k_max and the N-i-1 cells left
-    move at most (N-i-1) k_max.  This is exact: a banded level reads its
-    predecessors j - k, |k| <= k_max, and each lies in the previous band or
-    is a level no step ever wrote, which holds +inf, as it does when every
-    level is evaluated.  So every sum, argmin and tie on a 0 -> M contour
-    is the same, and value and profile are bit for bit those of the full
-    recurrence.  The cost is sum_i (hi_i - lo_i + 1) |K| sums, against
-    N (top+1) |K| over every level up to top = floor((M + N k_max) / 2),
-    the band's peak: hi_i is the smaller of two bounds that sum to
-    M + N k_max.
-
-    Both schedules are deterministic, so the reported argmin profile is
-    reproducible.
+    A product forms its sums in row blocks of at most DP_BLOCK; a row block
+    takes the columns its last row reaches, a rectangle over its part of
+    the triangle.  At N = M = 400 restricted (eight squares and two other
+    products) that is 655887 sums, against 10 * 401^2 = 1608010 over full
+    rows.  The value is summed along the product tree, so it differs from a
+    cell-by-cell sum only by rounding, within (N + ceil(log2 N)) eps
+    relative.  The schedule is deterministic, so the reported argmin
+    profile is reproducible.
 
     A grid is refused by arithmetic, before anything is allocated, where
     dh/dx or slope_bound * dx/dh is out of the positive doubles (the
-    message names it), or where its largest table would exceed
-    MAX_TABLE_ELEMENTS: the (M+1)^2 sums of full rows, an upper bound on
-    one restricted product, or the larger of the unrestricted N x (top+1)
-    rise table and the (top+1) x |K| sums of one product.  Where k dh/dx or
-    its square overflows, the cell cost is its limit 0.
+    message names it), or where (T+1)^2, an upper bound on the sums of one
+    product, exceeds MAX_TABLE_ELEMENTS: T >= 5792, such as M = 6000 or
+    400^2 at slope_bound >= 14.  Where k dh/dx or its square overflows, the
+    cell cost is its limit 0.
     """
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
     dh = spec.H / m
-    restricted = spec.variant is Variant.RESTRICTED
     k_max, top = check_grid(spec, config)
-    if restricted:
-        # the rise of each cell cost, and each product's shares (see _square)
-        ks = np.arange(m + 1)
-    else:
-        ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+    # rise k is level k + shift of one cell
+    shift = 0 if spec.variant is Variant.RESTRICTED else k_max
+    ks = np.arange(-shift, k_max + 1)
     with np.errstate(over="ignore"):
         # where u or u^2 overflows, the cost is its limit 0 (off by < dx/1.7e308)
         slope = ks * (dh / dx)
         cell_cost = dx / (1.0 + slope * slope)
-    if restricted:
-        values, tree = _square(cell_cost, ks, n)
-    else:
-        values, tree = _chain(cell_cost, ks, n, m, top)
-    rises = _backtrack(tree, values, m)
-    if restricted:
-        rises.sort()
-    return float(values[m]), _grid_profile(spec, n, m, rises)
+    values, tree = _square(cell_cost, n, top)
+    rises = [k - shift for k in _backtrack(tree, values, top)]
+    # steepest first keeps every unrestricted prefix at or above level 0
+    rises.sort(reverse=shift > 0)
+    return float(values[top]), _grid_profile(spec, n, m, rises)
 
 
 def check_grid(spec: ProblemSpec, config: DpConfig) -> tuple[int, int]:
-    """(k_max, top) of the grid dp_min_resistance would run, or ValueError.
+    """(k_max, T) of the grid dp_min_resistance would run, or ValueError.
 
+    k_max is the largest rise (M when restricted) and T the target level.
     The grid rules of dp_min_resistance, by arithmetic alone: nothing is
     allocated, so a caller can refuse a grid before it does other work.
     """
@@ -220,8 +204,8 @@ def check_grid(spec: ProblemSpec, config: DpConfig) -> tuple[int, int]:
 
 
 def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
-    # (k_max, top, elements): the largest rise, the top level and the size of
-    # the largest table dp_min_resistance would build, by arithmetic alone
+    # (k_max, T, elements): the largest rise, the target level and (T+1)^2,
+    # the bound on one product's sums, by arithmetic alone
     n, m = config.n_cells, config.n_levels
     dx = spec.r / n
     dh = spec.H / m
@@ -229,113 +213,69 @@ def _grid_extent(spec: ProblemSpec, config: DpConfig) -> tuple[int, int, int]:
     if not (dx > 0.0 and 0.0 < dh / dx < math.inf):
         raise ValueError(f"DP slope quantum dh/dx = {dh!r} / {dx!r} is out of double range")
     if spec.variant is Variant.RESTRICTED:
-        # a product forms at most the triangle of (M+1)(M+2)/2 sums; the cap
-        # counts the (M+1) x (M+1) full rows above it, an upper bound
-        return m, m, (m + 1) ** 2
-    if config.slope_bound <= 0.0:
-        raise ValueError("unrestricted DP requires a positive slope_bound")
-    levels = config.slope_bound * dx / dh
-    if levels == math.inf:
-        raise ValueError(f"DP slope_bound * dx/dh = {levels} is out of double range")
-    k_max = int(math.floor(levels + 1e-12))
-    if k_max < 1 or n * k_max < m:
-        raise ValueError(
-            "infeasible grid: required total rise unreachable under slope bound"
-        )
-    # the band's peak: no 0 -> M contour rises above it (see dp_min_resistance)
-    top = (m + n * k_max) // 2
-    # the N x (top+1) rise table, or the (top+1) x |K| sums of one product
-    return k_max, top, (top + 1) * max(n, 2 * k_max + 1)
+        k_max = top = m
+    else:
+        if config.slope_bound <= 0.0:
+            raise ValueError("unrestricted DP requires a positive slope_bound")
+        levels = config.slope_bound * dx / dh
+        if levels == math.inf:
+            raise ValueError(f"DP slope_bound * dx/dh = {levels} is out of double range")
+        k_max = int(math.floor(levels + 1e-12))
+        if k_max < 1 or n * k_max < m:
+            raise ValueError(
+                "infeasible grid: required total rise unreachable under slope bound"
+            )
+        top = m + n * k_max
+    return k_max, top, (top + 1) ** 2
 
 
-def _product(window, b, ks, cols, values, rises) -> None:
-    # values[j] = (a * b)[j] = min_t a[j - ks[t]] + b[t] over the levels j of
-    # a, and rises[j] = ks[t] for the first minimum: t runs over K in its tie
-    # order, so np.argmin's first minimum is the tie rule.  window is the
-    # sliding_window_view of a padded with +inf; its column cols[t] holds
-    # a[j - ks[t]], or +inf where j - ks[t] leaves the levels, so no index
-    # table and no mask are built.  Rows go in blocks of at most DP_BLOCK
-    # sums, so a product's temporaries stay small on any grid.
-    step = max(1, DP_BLOCK // ks.size)
-    for lo in range(0, values.size, step):
-        total = window[lo : lo + step, cols] + b
-        t = total.argmin(axis=1)
-        values[lo : lo + step] = total[np.arange(t.size), t]
-        rises[lo : lo + step] = ks[t]
+def _product(window, b, values, rises) -> None:
+    # values[j] = min_k window[j, k] + b[k] and rises[j] = the first
+    # minimizing k, so np.argmin's first minimum is the tie rule
+    total = window + b
+    t = total.argmin(axis=1)
+    values[:] = total[np.arange(t.size), t]
+    rises[:] = t
 
 
-def _square(cell_cost, ks, n):
-    # restricted schedule: the N-th power of one cell by squaring, since the
-    # order of the rises does not matter.  A factor is (values, tree), and
-    # ks = 0..M.  multiply(a, b) sends its rows through _product with a
-    # window over a, reversed and padded with +inf above, whose row j holds
-    # a[j - k] at column k, with b as the vector and ks as b's shares; so
-    # np.argmin's first minimum is b's smallest share.  Row j reads the
-    # shares k <= j, or k <= j // 2 in a square (see dp_min_resistance),
-    # and a row block only the columns its last row reaches.  The last
-    # product forms row M alone; rows left out hold +inf.
-    m = ks.size - 1
-    pad = np.full(m, np.inf)
+def _square(cell_cost, n, top):
+    # the n-th (min,+) power of one cell by squaring, over the levels
+    # 0..top.  A factor is (values, tree, its top), values over all of
+    # 0..top and +inf above the factor's top (see dp_min_resistance); the
+    # cell's top is the last level cell_cost gives.  multiply(a, b) forms
+    # the rows up to min(top_a + top_b, top) and sends them through _product
+    # with a window over a, reversed and padded with +inf above, whose row j
+    # holds a[j - k] at column k, and with b as the vector; so np.argmin's
+    # first minimum is b's smallest share.  Row j reads the shares k <= j,
+    # or k <= j // 2 in a square, and a row block only the columns its last
+    # row reaches.  The last product forms row top alone; rows left out
+    # hold +inf.
+    pad = np.full(top, np.inf)
 
     def multiply(a, b, last):
         square = a is b
-        values = np.full(m + 1, np.inf)
-        rises = np.zeros(m + 1, dtype=np.int32)
-        window = sliding_window_view(np.concatenate((a[0][::-1], pad)), m + 1)[::-1]
-        step = max(1, DP_BLOCK // (m // 2 + 1 if square else m + 1))
-        for lo in range(m if last else 0, m + 1, step):
-            hi = min(lo + step, m + 1)
+        rows = min(a[2] + b[2], top) + 1
+        values = np.full(top + 1, np.inf)
+        rises = np.zeros(top + 1, dtype=np.int32)
+        window = sliding_window_view(np.concatenate((a[0][::-1], pad)), top + 1)[::-1]
+        step = max(1, DP_BLOCK // ((rows - 1) // 2 + 1 if square else rows))
+        for lo in range(rows - 1 if last else 0, rows, step):
+            hi = min(lo + step, rows)
             width = (hi - 1) // 2 + 1 if square else hi
-            _product(
-                window[lo:hi], b[0][:width], ks[:width], slice(width),
-                values[lo:hi], rises[lo:hi],
-            )
-        return values, (a[1], b[1], rises)
+            _product(window[lo:hi, :width], b[0][:width], values[lo:hi], rises[lo:hi])
+        return values, (a[1], b[1], rises), rows - 1
 
-    power = (cell_cost, None)
+    cell = np.concatenate((cell_cost, pad[: top + 1 - cell_cost.size]))
+    power = (cell, None, cell_cost.size - 1)
     result = None
     while True:
         if n & 1:
             result = power if result is None else multiply(power, result, n == 1)
         n >>= 1
         if not n:
-            return result
+            return result[:2]
         # with no result yet, the square before the top bit is the last product
         power = multiply(power, power, n == 1 and result is None)
-
-
-def _chain(cell_cost, ks, n, m, top):
-    # slope-bounded schedule: one cell at a time, since every prefix must stay
-    # at or above level 0; top, the band's peak, bounds the levels any band
-    # holds.  The levels alternate between two buffers
-    # padded with k_max +inf on each side, each with one window; the rises go
-    # into one contiguous table.  Cell i + 1 evaluates only its band
-    # lo..stop - 1, the levels some 0 -> m contour can pass there (see
-    # dp_min_resistance); a level outside it is either never read again or
-    # never written, so +inf, and its rise stays unset.  The first product
-    # places one cell on the levels, so its tree is a leaf and its row is
-    # never read.
-    k_max = int(ks.max())
-    cols = k_max - ks
-    buffers = np.full((2, top + 1 + 2 * k_max), np.inf)
-    windows = [sliding_window_view(buffer, 2 * k_max + 1) for buffer in buffers]
-    levels = buffers[:, k_max : k_max + top + 1]
-    levels[0, 0] = 0.0
-    # the narrowest signed type that holds +k_max: -k_max alone would pick
-    # int8 at k_max = 128, where +128 wraps
-    rises = np.empty((n, top + 1), dtype=np.min_scalar_type(-k_max - 1))
-    tree = None
-    for i in range(n):
-        left = (n - i - 1) * k_max
-        lo = max(0, m - left)
-        stop = min((i + 1) * k_max, m + left) + 1
-        _product(
-            windows[i % 2][lo:stop], cell_cost, ks, cols,
-            levels[1 - i % 2, lo:stop], rises[i, lo:stop],
-        )
-        if i:
-            tree = (tree, None, rises[i])
-    return levels[n % 2], tree
 
 
 def _backtrack(tree, values, level: int) -> list[int]:

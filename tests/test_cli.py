@@ -896,6 +896,9 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
          "H/r = 1.0 / 1e-310 overflows"),
         (["solve", "--r", "1e-300", "--H", "1e10", "--variant", "unrestricted"],
          "H/r = 10000000000.0 / 1e-300 overflows"),
+        # the perturbation oracle builds the straight contour without solve
+        (["verify", "--r", "1e-310", "--H", "1", "--variant", "restricted",
+          "--oracle", "perturb"], "H/r = 1.0 / 1e-310 overflows"),
     ],
 )
 def test_unrepresentable_inputs_are_usage_errors(argv, message):

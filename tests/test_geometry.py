@@ -526,8 +526,15 @@ _PROFILE_REFUSALS = [
      "profile width -1e+308 -> 1e+308 overflows a float"),
     (((0.0, 0.0), (1e-300, 1e10), (1.0, _INF)), "breakpoint (1.0, inf) is not finite"),
     (((0.0, 0.0), (1e-300, 1e10), (2e-300, -1e10)), "segment 0 has non-finite slope inf"),
-    (((0.0, _NAN), ("a", 1.0)), "could not convert string to float: 'a'"),
+    (((0.0, _NAN), ("a", 1.0)), "breakpoint 1 x must be a finite number, got 'a'"),
     (((_NAN, 0.0), (1.0, 2.0, 3.0)), "too many values to unpack (expected 2)"),
+    # the type rule, the first rule: the real-number rule's message, and no
+    # conversion of a str or a bool
+    (((0, 0), ("1", True)), "breakpoint 1 x must be a finite number, got '1'"),
+    (((0.0, 0.0), (1.0, True)), "breakpoint 1 y must be a finite number, got True"),
+    (((0.0, 0.0), (1.0, None)), "breakpoint 1 y must be a finite number, got None"),
+    ((("a", 0.0),), "breakpoint 0 x must be a finite number, got 'a'"),
+    (((0.0, 0.0), (0.0, 1.0), (2.0, False)), "breakpoint 2 y must be a finite number, got False"),
 ]
 
 _STAIRCASE_REFUSALS = [
@@ -551,7 +558,7 @@ _STAIRCASE_REFUSALS = [
      "rise 1 has height 0.5 over zero width (infinite slope)"),
     # pairs of faults
     ((0, (0.0, _NAN), (0.0,)), "n must be an int >= 1, got 0"),
-    ((0, ("a", 1.0), (0.0,)), "could not convert string to float: 'a'"),
+    ((0, ("a", 1.0), (0.0,)), "xi[0] must be a finite number, got 'a'"),
     ((1, (0.0, _NAN, 1.0), (0.0, 1.0)),
      "xi and mu must be finite, got xi=(0.0, nan, 1.0), mu=(0.0, 1.0)"),
     ((1, (0.0, 0.5, 1.0, _INF), (0.0, 1.0, 0.5)),
@@ -564,6 +571,12 @@ _STAIRCASE_REFUSALS = [
     ((2, (0.0, 0.1, 0.1, 0.2, 0.2, 1.0), (0.0, 0.5, 1.0)),
      "rise 0 has height 0.5 over zero width (infinite slope)"),
     ((1, (0.0, 0.5, 0.5, 0.4), (0.0, 1.0)), "xi must be nondecreasing"),
+    # the type rule, the first rule: the real-number rule's message, and no
+    # conversion of a str or a bool
+    ((1, ("0", "0.5", True, 1.0), (False, "1")), "xi[0] must be a finite number, got '0'"),
+    ((1, (0.0, 0.5, 1.0, 1.0), (False, 1.0)), "mu[0] must be a finite number, got False"),
+    ((True, (0.0, 0.5, None, 1.0), (0.0, 1.0)), "xi[2] must be a finite number, got None"),
+    ((1, (0.0, 0.5, 1.0, 1.0), (0.0, "1")), "mu[1] must be a finite number, got '1'"),
 ]
 
 

@@ -30,6 +30,7 @@ from newton2d.extremal import (
 )
 from newton2d.geometry import (
     CounterexampleParams,
+    Profile,
     ProblemSpec,
     StaircaseParams,
     check_int,
@@ -99,7 +100,7 @@ def _staircase_n(v):
 
 
 def _dp_cells(v):
-    # unrestricted: the N x (top+1) rise table grows with n_cells
+    # unrestricted: the target level M + N k_max grows with n_cells
     return dp_min_resistance(ProblemSpec(1.0, 1.0, "unrestricted"), DpConfig(v, 8, 2.0**23))
 
 
@@ -168,6 +169,12 @@ _CASES = [
     *_real_cases("velocity y", lambda v: reflect((0.0, v), 1.0), ()),
     *_real_cases("r", lambda v: profile_from_dict({**GOOD_PROFILE, "r": v}), (0.0,)),
     *_real_cases("H", lambda v: profile_from_dict({**GOOD_PROFILE, "H": v}), (0.0,)),
+    # the constructors' type rule: no conversion of a bool or a str, and an
+    # int beyond the doubles named, not an OverflowError; NaN and inf have
+    # the constructors' own finiteness rules
+    *(_rule("breakpoint 1 y", lambda v: Profile(((0.0, 0.0), (1.0, v))), v) for v in (True, "1", HUGE)),
+    *(_rule("xi[1]", lambda v: StaircaseParams(1, (0.0, v, 1.0, 1.0), (0.0, 0.4)), v) for v in (True, "1", HUGE)),
+    *(_rule("mu[1]", lambda v: StaircaseParams(1, (0.0, 0.5, 1.0, 1.0), (0.0, v)), v) for v in (True, "1", HUGE)),
     *_real_cases("breakpoint 1 x", lambda v: _breakpoints([[0.0, 0.0], [v, 0.4]]), ()),
     *_real_cases("breakpoint 0 y", lambda v: _breakpoints([[0.0, v], [1.0, 0.4]]), ()),
     *(

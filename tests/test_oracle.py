@@ -3,6 +3,8 @@ import re
 import sys
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -139,12 +141,11 @@ def test_dp_unrestricted_infeasible_bound_raises():
         # verify --cells 100000 --levels 100000: one (M+1)^2 product table
         (ProblemSpec(r=1.0, H=1.0), DpConfig(100_000, 100_000), 100_001**2),
         # verify --variant unrestricted --slope-bound 1e6: k_max = 10^6 and
-        # top = (200 + 200 * 10^6) // 2 = 100000100, so the (top+1) x |K|
-        # sums of one product dominate
+        # the target level T = 200 + 200 * 10^6 = 200000200, so (T+1)^2
         (
             ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED),
             DpConfig(200, 200, 1e6),
-            100_000_101 * 2_000_001,
+            200_000_201**2,
         ),
     ],
     ids=["restricted-1e5", "bounded-B1e6"],
@@ -155,30 +156,20 @@ def test_dp_table_count_of_huge_grids_exceeds_cap(spec, config, elements):
 
 
 def test_dp_table_count_of_bounded_grid():
-    # 400 x 400 at B = 10: top = (400 + 400 * 10) // 2 = 2200, the band's
-    # peak, and |K| = 21, so the 400 x 2201 rise table is the largest
+    # 400 x 400 at B = 10: k_max = 10 and the target level
+    # T = 400 + 400 * 10 = 4400, so one product forms at most (T+1)^2 sums
     spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
-    assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 2200, 400 * 2201)
+    assert _grid_extent(spec, DpConfig(400, 400, 10.0)) == (10, 4400, 4401**2)
 
 
-@pytest.mark.parametrize(
-    "k_max, dtype", [(1, np.int8), (127, np.int8), (128, np.int16), (1000, np.int16)]
-)
-def test_dp_bounded_rise_table_is_the_narrowest_type_that_holds_k_max(monkeypatch, k_max, dtype):
-    # N = 4, M = 4 k_max at slope_bound 1 = k_max dh/dx: the only 0 -> M
-    # contour rises +k_max in every cell, the largest rise the table holds
-    # (a type picked for -k_max alone is int8 at 128, where +128 wraps)
-    dtypes = set()
-    product = oracle._product
-
-    def recording(window, b, ks, cols, values, rises):
-        dtypes.add(rises.dtype)
-        product(window, b, ks, cols, values, rises)
-
-    monkeypatch.setattr(oracle, "_product", recording)
+@pytest.mark.parametrize("n, k_max", [(4, 1), (4, 127), (4, 128), (2, 1000)])
+def test_dp_bounded_steepest_contour_at_large_k_max(n, k_max):
+    # M = N k_max at slope_bound 1 = k_max dh/dx: the only 0 -> M contour
+    # rises +k_max in every cell, the top of the shifted slope set, whose
+    # level 2 k_max is the highest share a product reads.  N = 4 at
+    # k_max = 1000 would need T = 8000, above the table cap
     spec = ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED)
-    value, profile = dp_min_resistance(spec, DpConfig(4, 4 * k_max, 1.0))
-    assert dtypes == {np.dtype(dtype)}
+    value, profile = dp_min_resistance(spec, DpConfig(n, n * k_max, 1.0))
     assert value == 0.5
     assert profile.breakpoints == ((0.0, 0.0), (1.0, 1.0))
 
@@ -213,9 +204,11 @@ def test_dp_refuses_a_grid_whose_slope_quantum_is_not_a_double(spec, config, nam
         # k dh/dx = k * 1e152 squares past the largest double from k = 134
         (ProblemSpec(r=1.0, H=1e152), DpConfig(200, 200), 1.0000000000000002e-304,
          ((0.0, 0.0), (1.0, 1e152))),
-        # every slope 0 < |k| * 1e155 <= 1e156 squares to inf
+        # every slope 0 < |k| * 1e155 <= 1e156 squares to inf, so every
+        # contour of two nonzero rises ties at 0; the tie rule takes the
+        # second cell's smallest shifted level, rise -8, beside +10
         (_unrestricted(r=1.0, H=1e155), DpConfig(2, 2, 1e156), 0.0,
-         ((0.0, 0.0), (0.5, 1.5e155), (1.0, 1e155))),
+         ((0.0, 0.0), (0.5, 5e155), (1.0, 1e155))),
     ],
 )
 def test_dp_cell_cost_of_an_overflowing_slope_is_its_limit(spec, config, value, breakpoints):
@@ -282,7 +275,10 @@ def _tree_sum_bound(n, reference):
 
 
 # Pinned DP outputs.  Bounded: value and breakpoints bit-exact, guarding the
-# recurrence's float arithmetic and its tie order (smallest |k|, then k < 0).
+# squaring's float arithmetic and its tie order (the smallest shifted share
+# of each product's right factor); each value is r / (1 + B^2) correctly
+# rounded, and the cell-by-cell recurrence's (0.20000000000000015,
+# 0.038461538461538325, 0.009900990099009908) lie within _tree_sum_bound.
 # Restricted: `value` is the cell-by-cell recurrence's 17-digit value, kept
 # as the reference; (min,+) squaring sums along a product tree, so the value
 # is asserted within _tree_sum_bound of it, the multiset of rises exactly,
@@ -299,11 +295,11 @@ def _tree_sum_bound(n, reference):
         (1.0, 0.25, "restricted", 100, 400, 0.0, 0.87500000000000067,
          {0: 75, 16: 25},
          ((0.0, 0.0), (0.75, 0.0), (1.0, 0.25))),
-        (1.0, 1.0, "unrestricted", 400, 400, 2.0, 0.20000000000000015, None,
+        (1.0, 1.0, "unrestricted", 400, 400, 2.0, 0.2, None,
          ((0.0, 0.0), (0.75, 1.5), (1.0, 1.0))),
-        (1.0, 1.0, "unrestricted", 400, 400, 5.0, 0.038461538461538325, None,
+        (1.0, 1.0, "unrestricted", 400, 400, 5.0, 0.038461538461538464, None,
          ((0.0, 0.0), (0.6, 3.0), (1.0, 1.0))),
-        (1.0, 1.0, "unrestricted", 400, 400, 10.0, 0.009900990099009908, None,
+        (1.0, 1.0, "unrestricted", 400, 400, 10.0, 0.009900990099009901, None,
          ((0.0, 0.0), (0.55, 5.5), (1.0, 1.0))),
     ],
     ids=["wide-200", "tall-120", "100x400", "bounded-B2", "bounded-B5", "bounded-B10"],
@@ -390,6 +386,34 @@ def test_dp_restricted_squaring_matches_gather_reference(n, m, r, h_over_r):
     assert value >= r * _relaxation_bound(spec, n, m) - n * EPS * r
 
 
+def _exact_cost(spec, n, m, rises):
+    # the exact sum, in rationals, of the double cell costs the DP adds up
+    dx, dh = spec.r / n, spec.H / m
+    return sum(Fraction(dx / (1.0 + (k * (dh / dx)) ** 2)) for k in rises)
+
+
+def _assert_bounded_argmin(spec, config, k_max, value, profile, ref_value, ref_rises):
+    # the DP's value within the rounding of a summation tree of the
+    # cell-by-cell reference's, the same exact cost at both argmins, and an
+    # admissible contour: |k| <= k_max, every prefix at or above level 0, and
+    # the rises summing to M
+    n, m = config.n_cells, config.n_levels
+    assert abs(value - ref_value) <= _tree_sum_bound(n, ref_value)
+    rises = _cell_rises(profile, spec, n, m)
+    assert _exact_cost(spec, n, m, rises) == _exact_cost(spec, n, m, ref_rises)
+    assert max(map(abs, rises)) <= k_max
+    assert min(accumulate(rises)) >= 0
+    assert sum(rises) == m
+
+
+def _bounded_reference(spec, n, m, k_max):
+    # the cell-by-cell recurrence over K in the tie order (|k|, k), within
+    # the levels up to floor((M + N k_max) / 2), the highest a 0 -> M contour
+    # of N rises |k| <= k_max can reach
+    ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+    return _gather_reference(spec, n, m, ks, (m + n * k_max) // 2)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     st.integers(2, 40),
@@ -399,22 +423,21 @@ def test_dp_restricted_squaring_matches_gather_reference(n, m, r, h_over_r):
     st.integers(1, 8),
     st.floats(1.0, 1.9),
 )
-def test_dp_bounded_matches_gather_reference_bit_exactly(n, m, r, h_over_r, k, stretch):
-    # B puts the largest rise k_max between k and 1.9 k, so |K| and the level
-    # band stay small; the cell-by-cell reference sums in the same order, so
-    # value and rises must be equal, not close
+def test_dp_bounded_squaring_matches_gather_reference(n, m, r, h_over_r, k, stretch):
+    # B puts the largest rise k_max between k and 1.9 k, so |K| and the
+    # levels stay small.  Squaring sums along a product tree, the reference
+    # cell by cell, so their values agree within the rounding of the two
+    # orders, and their argmins have one exact cost
     spec = ProblemSpec(r=r, H=h_over_r * r, variant=Variant.UNRESTRICTED)
     config = DpConfig(n, m, k * stretch * (spec.H / m) / (spec.r / n))
     try:
-        k_max, top, _ = _grid_extent(spec, config)
+        k_max, _, _ = _grid_extent(spec, config)
     except ValueError as exc:
         assert "infeasible" in str(exc)
         return
-    ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
     value, profile = dp_min_resistance(spec, config)
-    ref_value, ref_rises = _gather_reference(spec, n, m, ks, top)
-    assert value == ref_value
-    assert _cell_rises(profile, spec, n, m) == ref_rises
+    ref_value, ref_rises = _bounded_reference(spec, n, m, k_max)
+    _assert_bounded_argmin(spec, config, k_max, value, profile, ref_value, ref_rises)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -426,45 +449,88 @@ def test_dp_bounded_matches_gather_reference_bit_exactly(n, m, r, h_over_r, k, s
     st.floats(0.05, 3.0),
     st.floats(0.0, 0.5),
 )
-def test_dp_bounded_tight_grid_matches_gather_reference_bit_exactly(
-    n, k, slack, r, h_over_r, extra
-):
-    # M within three k_max of N k_max: a contour has little room to wander,
-    # so the band's lower edge M - (N - i - 1) k_max binds from the first
-    # cells on and its upper edge M + (N - i - 1) k_max in the last ones
+def test_dp_bounded_tight_grid_matches_gather_reference(n, k, slack, r, h_over_r, extra):
+    # M within three k_max of N k_max: nearly every rise is +k_max, so the
+    # argmin reads levels at or next to each factor's top, the edge of the
+    # row trim
     m = max(2, n * k - min(slack, 3 * k))
     spec = ProblemSpec(r=r, H=h_over_r * r, variant=Variant.UNRESTRICTED)
     config = DpConfig(n, m, (k + extra) * (spec.H / m) / (spec.r / n))
-    k_max, top, _ = _grid_extent(spec, config)
-    assert k_max == k
-    # top is the band's peak, so the reference's levels 0..top hold every
-    # 0 -> M contour
-    assert (m + n * k_max) // 2 == top
-    ks = np.array(sorted(range(-k_max, k_max + 1), key=lambda kv: (abs(kv), kv)))
+    assert _grid_extent(spec, config)[:2] == (k, m + n * k)
     value, profile = dp_min_resistance(spec, config)
-    ref_value, ref_rises = _gather_reference(spec, n, m, ks, top)
-    assert value == ref_value
-    assert _cell_rises(profile, spec, n, m) == ref_rises
+    ref_value, ref_rises = _bounded_reference(spec, n, m, k)
+    _assert_bounded_argmin(spec, config, k, value, profile, ref_value, ref_rises)
 
 
-@pytest.mark.parametrize("bound, rows", [(2.0, 100_400), (5.0, 256_400), (10.0, 468_400)])
-def test_dp_bounded_evaluates_only_the_band(monkeypatch, bound, rows):
-    # the work of one bounded DP as a count of (min,+) rows: 400^2 at H = r
-    # evaluates sum_i (hi_i - lo_i + 1) levels, against N (top + 1) =
-    # 240400, 480400 and 880400 over every level 0..top
-    counted = []
+def _admissible_rises(n, m, k_max):
+    # every sequence of n rises |k| <= k_max from level 0 to level m whose
+    # prefixes stay at or above level 0
+    def extend(prefix, level):
+        left = n - len(prefix)
+        if not left:
+            yield prefix
+            return
+        for k in range(-k_max, k_max + 1):
+            if level + k >= 0 and abs(m - level - k) <= (left - 1) * k_max:
+                yield from extend(prefix + (k,), level + k)
+
+    return extend((), 0)
+
+
+@pytest.mark.parametrize("k_max", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_dp_bounded_reaches_the_exhaustive_minimum(n, k_max):
+    # tiny grids, every admissible contour enumerated and costed in exact
+    # rationals: the DP's argmin reaches their minimum, though the DP
+    # itself never sees the prefix rule
+    for m in range(2, min(8, n * k_max) + 1):
+        for h in (0.5, 1.0, 1.7):
+            spec = ProblemSpec(r=1.0, H=h, variant=Variant.UNRESTRICTED)
+            config = DpConfig(n, m, k_max * (h / m) / (1.0 / n))
+            assert _grid_extent(spec, config)[0] == k_max
+            dx, dh = Fraction(spec.r) / n, Fraction(h) / m
+            cost = {k: dx / (1 + (k * dh / dx) ** 2) for k in range(-k_max, k_max + 1)}
+            contours = set(_admissible_rises(n, m, k_max))
+            best = min(sum(map(cost.get, rises)) for rises in contours)
+            value, profile = dp_min_resistance(spec, config)
+            rises = _cell_rises(profile, spec, n, m)
+            assert tuple(rises) in contours
+            assert sum(map(cost.get, rises)) == best
+            assert abs(value - best) <= _tree_sum_bound(n, float(best))
+
+
+@pytest.mark.parametrize(
+    "bound, rows",
+    [
+        (2.0, [9, 17, 33, 65, 129, 257, 513, 577, 1025, 1]),
+        (5.0, [21, 41, 81, 161, 321, 641, 1281, 1441, 2401, 1]),
+        (10.0, [41, 81, 161, 321, 641, 1281, 2561, 2881, 4401, 1]),
+    ],
+    ids=["B2", "B5", "B10"],
+)
+def test_dp_bounded_forms_only_the_rows_below_each_top(monkeypatch, bound, rows):
+    # 400^2 at H = r: k_max = B, a cell's top w = 2 B and T = 400 + 400 B.
+    # The squares of p = 1, ..., 64 cells form the rows up to 2 p w, the
+    # product of the powers of 128 and 16 cells those up to 144 w, the
+    # square of 128 cells those up to min(256 w, T), and the last product
+    # row T alone, against 10 (T+1) = 12010, 24010 and 44010 full rows
+    products = []
     product = oracle._product
 
-    def counting(window, b, ks, cols, values, rises):
-        counted.append(values.size)
-        product(window, b, ks, cols, values, rises)
+    def counting(window, b, values, rises):
+        # values is a row block of one product's values; products run one
+        # after another, and each array is kept, so no two share an identity
+        if not products or products[-1][0] is not values.base:
+            products.append([values.base, 0])
+        products[-1][1] += values.size
+        assert values.size * b.size <= oracle.DP_BLOCK
+        product(window, b, values, rises)
 
     monkeypatch.setattr(oracle, "_product", counting)
     dp_min_resistance(
         ProblemSpec(r=1.0, H=1.0, variant=Variant.UNRESTRICTED), DpConfig(400, 400, bound)
     )
-    assert len(counted) == 400
-    assert sum(counted) == rows
+    assert [count for _, count in products] == rows
 
 
 def _full_row_square(cell_cost, n):
@@ -500,7 +566,7 @@ def _restricted_costs(spec, n, m):
 
 def _assert_square_matches_full_rows(cell_cost, n):
     m = cell_cost.size - 1
-    values, tree = oracle._square(cell_cost, np.arange(m + 1), n)
+    values, tree = oracle._square(cell_cost, n, m)
     ref_values, ref_tree = _full_row_square(cell_cost, n)
     assert values[m] == ref_values[m]
     rises = sorted(_backtrack(tree, values, m))
@@ -561,9 +627,9 @@ def test_dp_restricted_forms_only_the_sums_it_can_use(monkeypatch):
     counted = []
     product = oracle._product
 
-    def counting(window, b, ks, cols, values, rises):
-        counted.append(values.size * ks.size)
-        product(window, b, ks, cols, values, rises)
+    def counting(window, b, values, rises):
+        counted.append(values.size * b.size)
+        product(window, b, values, rises)
 
     monkeypatch.setattr(oracle, "_product", counting)
     dp_min_resistance(ProblemSpec(r=1.0, H=0.4), DpConfig(400, 400))
