@@ -187,7 +187,13 @@ def classify_stationary(u: float) -> Classification:
 
 
 class ExtremalCertificate(Record):
-    """Pontryagin-extremal data: normalized multiplier pair and slope analysis."""
+    """Pontryagin-extremal data: normalized multiplier pair and slope analysis.
+
+    lam passes the real-number rule, positive; stationary is a tuple of
+    slopes that each pass it, and classification a tuple of as many
+    Classification members.  Anything else raises ValueError naming the
+    field.
+    """
 
     def __init__(
         self,
@@ -197,12 +203,26 @@ class ExtremalCertificate(Record):
         psi0: float = -1.0,
     ) -> None:
         check_real("lam", lam, positive=True)
+        if not isinstance(stationary, tuple):
+            raise ValueError(f"stationary must be a tuple of slopes, got {stationary!r}")
+        for i, u in enumerate(stationary):
+            check_real(f"stationary[{i}]", u)
+        if not (
+            isinstance(classification, tuple)
+            and len(classification) == len(stationary)
+            and all(isinstance(c, Classification) for c in classification)
+        ):
+            raise ValueError(
+                f"classification must be a tuple of {len(stationary)} Classification, "
+                f"got {classification!r}"
+            )
         if psi0 != -1.0:
             raise ValueError("psi0 is normalized to -1")
         self._init(lam, stationary, classification, psi0)
 
     def psi(self, x: float) -> float:
-        """Constant adjoint, identically -lambda."""
+        """Constant adjoint, identically -lambda; x passes the real-number rule."""
+        check_real("x", x)
         return -self.lam
 
 

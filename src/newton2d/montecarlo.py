@@ -19,16 +19,6 @@ from .geometry import Profile, check_int, check_real, check_seed
 #: Most samples estimate_resistance draws; see check_sample_count.
 MAX_SAMPLES = 2**25
 
-#: Samples estimate_resistance draws and counts at a time, in one reused
-#: 256 KiB float64 buffer.  The result does not depend on it; see
-#: estimate_resistance.
-MC_CHUNK = 2**15
-
-#: Most interior breakpoints segment_counts counts by one pass each over a
-#: chunk; a profile with more has each chunk sorted instead.  Both rules
-#: give the same counts; see estimate_resistance.
-MC_DIRECT_MAX = 16
-
 #: Most (segment, breakpoint) pairs single_collision_check evaluates at once
 #: (one row of S + 1 when S + 1 is larger).  A block keeps about a dozen
 #: float64 temporaries of that size alive, 1.5 MiB at 2^14, which fits a
@@ -119,49 +109,23 @@ def check_sample_count(n_samples: int) -> None:
     """Reject a Monte Carlo sample count before anything is drawn.
 
     n_samples passes the integer rule in [2, MAX_SAMPLES = 2^25]; one
-    sample has no standard error.  estimate_resistance holds
-    O(MC_CHUNK + S) memory whatever the count, so the cap bounds time, not
-    memory: at the cap, about 3 ns per sample (0.1 s) for a profile of up
-    to MC_DIRECT_MAX + 1 = 17 segments, where drawing costs most, and about
-    9 ns per sample (0.3 s) for one of more segments, whose chunks are
-    sorted (measured on a 2 vCPU x86-64 with AVX-512, numpy 2.4).  The cap
-    is fixed, not a setting.
+    sample has no standard error.  The cap is fixed, not a setting.
     """
     check_int("n_samples", n_samples, 2, MAX_SAMPLES)
 
 
 def segment_counts(profile: Profile, n_samples: int, rng_seed: int) -> np.ndarray:
-    """How many of estimate_resistance's draws fall in each segment.
+    """How many of estimate_resistance's n_samples impacts fall in each segment.
 
-    An int64 array of one count per segment, summing to n_samples; the
-    estimate_resistance docstring states how the draws are taken and
-    counted.
+    An int64 array of one count per segment, summing to n_samples: one
+    multinomial draw from default_rng(rng_seed), with the segments' shares
+    of the width as its probabilities; the estimate_resistance docstring
+    states why that is the law of the counts.
     """
     check_sample_count(n_samples)
     check_seed(rng_seed)
-    rng = np.random.default_rng(rng_seed)
-    x0, x1 = profile.xs[0], profile.xs[-1]
-    interior = np.array(profile.xs[1:-1])
-    direct = interior.size <= MC_DIRECT_MAX
-    # below[k]: the draws below breakpoint x_k; none are below x0, and
-    # below[S] = n puts a draw at x1 in the last segment
-    below = np.zeros(interior.size + 2, dtype=np.int64)
-    below[-1] = n_samples
-    inner = below[1:-1]
-    buffer = np.empty(min(MC_CHUNK, n_samples))
-    for start in range(0, n_samples, MC_CHUNK):
-        chunk = buffer[: min(MC_CHUNK, n_samples - start)]
-        # Generator.uniform(x0, x1) is x0 + (x1 - x0) * random(), bit for bit
-        rng.random(out=chunk)
-        chunk *= x1 - x0
-        chunk += x0
-        if direct:
-            for k, x in enumerate(interior):
-                inner[k] += np.count_nonzero(chunk < x)
-        else:
-            chunk.sort()
-            inner += np.searchsorted(chunk, interior, side="left")
-    return below[1:] - below[:-1]
+    widths = np.diff(profile.xs)
+    return np.random.default_rng(rng_seed).multinomial(n_samples, widths / widths.sum())
 
 
 def estimate_resistance(
@@ -174,43 +138,35 @@ def estimate_resistance(
     segment it strikes: half its axial impulse, g_k = (1 + v'_y) / 2 with
     v' = reflect((0, -1), u_k) on segment k.  So (x1 - x0)/n times the sum
     of g over n impacts is an unbiased estimator of the drag integral, and
-    it depends on the draws only through c_k, how many fall in segment k.
-    An impact at an interior breakpoint belongs to the segment on its
-    right, one at x1 to the last segment (Profile.segment_index's rule).
+    it depends on the impacts only through c_k, how many strike segment k.
 
-    Counts (segment_counts): the n draws of Generator.uniform(x0, x1, .)
-    from default_rng(rng_seed) are taken in chunks of MC_CHUNK, in stream
-    order, into one reused buffer: Generator.random fills it and it is
-    scaled in place by x0 + (x1 - x0) * draw, the very doubles uniform
-    returns.  below[k] counts the draws strictly below the interior
-    breakpoint x_k, by one of two rules that give the same integers:
-    - at most MC_DIRECT_MAX = 16 interior breakpoints: one comparison pass
-      over the chunk per breakpoint, O(S MC_CHUNK) per chunk;
-    - more: the chunk is sorted in place and a binary search finds each
-      x_k, O(MC_CHUNK log MC_CHUNK + S log MC_CHUNK) per chunk.
-    Then c_k = below[k + 1] - below[k], with below[0] = 0 and
-    below[S] = n for the ends x0 and x1.  Timed over whole calls of
-    10^6 draws (2 vCPU x86-64, numpy 2.4), at 1 / 15 / 31 interior
-    breakpoints the direct rule took 3.4 / 6.2 / 9.0 ms and the sorting
-    rule 8.5 ms at each: a comparison pass costs about 0.2 ms, so the
-    cut-over at 16 stays below the crossover near 29.  The counts are
-    exact integers, so the result is the same for every chunk size and
-    either rule, and a fixed seed gives the same bits.
+    Counts (segment_counts): n independent uniform impacts strike segment
+    k with probability p_k = w_k / W, its width over W = x1 - x0, so the
+    vector c has the multinomial law Mult(n, p) exactly; a breakpoint has
+    probability zero, so which segment owns it does not matter.  So c is
+    drawn as one multinomial vector from default_rng(rng_seed), and the
+    estimator has the law of n sampled impacts in O(S) time and memory,
+    whatever n is.  The digits at a given seed follow numpy's multinomial
+    stream.
 
     Estimate and error: mean = sum_k c_k g_k / n, estimate =
     (x1 - x0) mean and std_error = (x1 - x0) sqrt(v / n) with
     v = sum_k c_k (g_k - mean)^2 / (n - 1).  Every term is non-negative,
     so the sum of S rounded products, and the estimate, is within (S + 2) eps
-    of its exact value, relative (eps = 2^-52); the deviations g_k - mean
-    in v carry that error of the mean, absolute.  Summing the n per-sample
-    impulses instead gives the same values within that bound and its own
-    rounding, about (log2 n + 16) eps for numpy's pairwise sum.
+    of its exact value for the drawn counts, relative (eps = 2^-52); the
+    deviations g_k - mean in v carry that error of the mean, absolute.
+    Summing the n per-sample impulses instead gives the same values within
+    that bound and its own rounding, about (log2 n + 16) eps for numpy's
+    pairwise sum.  The probabilities are rounded: numpy sums the S widths
+    pairwise, within (log2 S + 16) eps of W, and each quotient adds eps/2,
+    so p_k and the sum of the leading S - 1 shares are within about
+    (log2 S + 17) eps of exact, far inside the 1 + 1e-12 that
+    Generator.multinomial accepts, and far below any Monte Carlo
+    resolution (a count resolves shares of 1/n, 3e-8 at the cap).
 
-    Memory is O(MC_CHUNK + S): one chunk of float64 draws, a chunk-sized
-    comparison mask and a few S-element arrays, whatever n is.  n_samples
-    is checked by check_sample_count and rng_seed by check_seed before
-    anything is drawn; Profile already refuses a width x1 - x0 that
-    overflows, which would turn the in-place scaling into inf or nan draws.
+    n_samples is checked by check_sample_count and rng_seed by check_seed
+    before anything is drawn; Profile already refuses a width x1 - x0
+    that overflows.
     """
     counts = segment_counts(profile, n_samples, rng_seed).astype(float)
     # half the axial impulse of a particle reflected by each segment

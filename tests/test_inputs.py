@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import newton2d
 from newton2d.extremal import (
+    Classification,
+    ExtremalCertificate,
     check_certificate,
     classify_stationary,
     enumerate_minimizers,
@@ -25,6 +27,7 @@ from newton2d.extremal import (
     hamiltonian_derivatives,
     io_staircase_params,
     lambda_for_slope,
+    make_certificate,
     staircase_gradient_check,
     stationary_slopes,
 )
@@ -124,6 +127,14 @@ def _slope_derivatives(v):
     return hamiltonian_derivatives(v, 0.5)
 
 
+def _stationary(v):
+    return ExtremalCertificate(0.5, v, (Classification.LOCAL_MIN,))
+
+
+def _classification(v):
+    return ExtremalCertificate(0.5, (0.3,), v)
+
+
 _DP_CAP = "use a smaller n_cells or n_levels"
 _POSITIVE = (0.0, -1.0)
 
@@ -159,6 +170,15 @@ _CASES = [
     *(_cap("u", _slope_derivatives, v, f"slope {v} is too steep") for v in (math.inf, -math.inf)),
     *_real_cases("lam", lambda v: hamiltonian_derivatives(0.5, v), (-1.0,)),
     *_real_cases("u", classify_stationary, ()),
+    # the certificate's fields: a tuple of real slopes, and as many
+    # classifications of them
+    *_real_cases("stationary[0]", lambda v: _stationary((v,)), ()),
+    *(_rule("stationary", _stationary, v) for v in (3, [0.3], None)),
+    *(
+        _rule("classification", _classification, v)
+        for v in (4, (None,), ("local-min",), (), [Classification.LOCAL_MIN])
+    ),
+    *_real_cases("x", make_certificate(0.5).psi, ()),
     *_real_cases("tol", lambda v: check_certificate(FAMILY_MEMBER, SPEC, 0.5, tol=v), (-1e-9,)),
     *_real_cases("step", lambda v: finite_difference_gradient(lambda p: 0.0, np.zeros(1), v), _POSITIVE),
     *_real_cases("fd_step", lambda v: staircase_gradient_check(INTERIOR, SPEC, fd_step=v), _POSITIVE),

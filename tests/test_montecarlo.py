@@ -415,20 +415,12 @@ def test_estimate_caps_the_sample_count_before_allocating():
 EPS = np.finfo(float).eps
 
 
-def _per_sample_reference(profile: Profile, n_samples: int, rng_seed: int):
-    # the estimator as it was, one impulse per sample: each draw's segment
-    # index, then the mean and standard deviation of the gathered impulses
-    x0, x1 = profile.xs[0], profile.xs[-1]
-    xs = np.random.default_rng(rng_seed).uniform(x0, x1, n_samples)
-    n_seg = len(profile.slopes)
-    idx = np.clip(np.searchsorted(np.array(profile.xs), xs, side="right") - 1, 0, n_seg - 1)
-    g = ((reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0)[idx]
-    width = x1 - x0
-    return (
-        np.bincount(idx, minlength=n_seg),
-        width * float(np.mean(g)),
-        width * float(np.std(g, ddof=1)) / math.sqrt(n_samples),
-    )
+def _per_sample_reference(profile: Profile, counts: np.ndarray):
+    # the estimator summed one impulse per sample: each segment's impulse
+    # repeated as often as it is struck, then their mean and standard deviation
+    g = np.repeat((reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0, counts)
+    width = profile.xs[-1] - profile.xs[0]
+    return width * float(np.mean(g)), width * float(np.std(g, ddof=1)) / math.sqrt(g.size)
 
 
 def _summation_bound(n_seg: int, n_samples: int) -> float:
@@ -444,16 +436,6 @@ def _random_profile(rng, n_seg: int) -> Profile:
     return Profile(tuple(zip(xs.tolist(), ys.tolist())))
 
 
-def _breakpoints_on_draws(n_samples: int, rng_seed: int, k: int) -> Profile:
-    # interior breakpoints placed exactly on k of the draws, so the
-    # right-segment rule at a breakpoint is exercised
-    draws = np.random.default_rng(rng_seed).uniform(0.0, 1.0, n_samples)
-    inner = np.unique(draws[:: n_samples // k])[:k]
-    xs = np.r_[0.0, inner, 1.0]
-    ys = np.cumsum(np.r_[0.0, np.diff(xs) * np.linspace(0.0, 2.0, xs.size - 1)])
-    return Profile(tuple(zip(xs.tolist(), ys.tolist())))
-
-
 def _staircase_200() -> Profile:
     rng = np.random.default_rng(200)
     widths = rng.uniform(0.5, 1.0, 200)
@@ -466,16 +448,15 @@ def _staircase_200() -> Profile:
     "profile, n_samples, rng_seed",
     [(_random_profile(np.random.default_rng(s), 1 + 3 * s), 40_000 + s, s) for s in range(6)]
     + [
-        (_breakpoints_on_draws(50_000, 11, 9), 50_000, 11),
         (_staircase_200(), 300_001, 4),
         (make_triangle(ProblemSpec(r=1.0, H=0.3)), 1000, 0),
     ],
 )
 def test_counts_and_estimate_match_the_per_sample_reference(profile, n_samples, rng_seed):
-    counts, mean, std_error = _per_sample_reference(profile, n_samples, rng_seed)
-    got = montecarlo.segment_counts(profile, n_samples, rng_seed)
-    assert got.dtype == np.int64
-    assert np.array_equal(got, counts)
+    counts = montecarlo.segment_counts(profile, n_samples, rng_seed)
+    assert counts.dtype == np.int64
+    assert counts.sum() == n_samples
+    mean, std_error = _per_sample_reference(profile, counts)
     est = estimate_resistance(profile, n_samples, rng_seed)
     bound = _summation_bound(len(profile.slopes), n_samples)
     assert abs(est.estimate - mean) <= bound * mean
@@ -490,45 +471,76 @@ _FORTY_SEGMENTS = Profile(tuple((i / 40, 0.25 * (i % 2) + i / 80) for i in range
 @pytest.mark.parametrize(
     "profile, n_samples, rng_seed, estimate, std_error",
     [
-        # 4 interior breakpoints, the comparison rule
-        (_FIVE_SEGMENTS, 5000, 4, 0.7435855424346098, 0.004255159789049532),
-        # 39 interior breakpoints, above MC_DIRECT_MAX: the sorting rule
-        (_FORTY_SEGMENTS, 5000, 20, 0.009975410189318138, 1.3932369470911585e-05),
-        # more samples than MC_CHUNK, so the counts add over four chunks
-        (_FIVE_SEGMENTS, 100_000, 18, 0.7413342923518377, 0.0009565439855691513),
-        (_FORTY_SEGMENTS, 100_000, 3, 0.00997546929352008, 3.1150762403958247e-06),
+        (_FIVE_SEGMENTS, 5000, 43, 0.7376159805760953, 0.0042914290721848556),
+        (_FORTY_SEGMENTS, 5000, 31, 0.009985654917654296, 1.3931384136377488e-05),
+        (_FIVE_SEGMENTS, 100_000, 10, 0.742628921973292, 0.0009560241557713549),
+        (_FORTY_SEGMENTS, 100_000, 44, 0.009973046021240566, 3.115079535530808e-06),
     ],
-    ids=["direct", "sorted", "direct-chunks", "sorted-chunks"],
+    ids=["five-segments", "forty-segments", "five-segments-1e5", "forty-segments-1e5"],
 )
 def test_estimate_keeps_its_bits(profile, n_samples, rng_seed, estimate, std_error):
-    # literals recorded from the estimator's np.sum of S products: a
-    # different summation (math.fsum, say) moves the last bit of each
+    # literals recorded from the estimator's np.sum of S products on numpy
+    # 2.4's multinomial stream, at seeds where a different summation
+    # (math.fsum, say) moves the last bit of both
     got = estimate_resistance(profile, n_samples, rng_seed)
     assert (got.estimate, got.std_error) == (estimate, std_error)
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 2**10])
-def test_estimate_bits_do_not_depend_on_the_chunk(monkeypatch, chunk):
-    # 5003 is a multiple of none of the chunks, so every run ends short
-    profile = _random_profile(np.random.default_rng(3), 9)
-    n_samples = 5003
-    expected = estimate_resistance(profile, n_samples, 8)
-    counts = montecarlo.segment_counts(profile, n_samples, 8)
-    monkeypatch.setattr(montecarlo, "MC_CHUNK", chunk)
-    assert np.array_equal(montecarlo.segment_counts(profile, n_samples, 8), counts)
-    assert estimate_resistance(profile, n_samples, 8) == expected
+def test_counts_have_the_multinomial_mean():
+    # each count is binomial(n, p_k): over 2000 seeds its mean lies within
+    # 5 standard errors of n p_k (counts given to the wrong segments miss by
+    # about 180)
+    n, runs = 1000, 2000
+    widths = np.diff(_FIVE_SEGMENTS.xs)
+    p = widths / widths.sum()
+    total = sum(montecarlo.segment_counts(_FIVE_SEGMENTS, n, seed) for seed in range(runs))
+    z = (total / runs - n * p) / np.sqrt(n * p * (1.0 - p) / runs)
+    assert np.all(np.abs(z) <= 5.0)
 
 
-def test_estimate_memory_is_bounded_by_the_chunk():
-    # 2^22 samples held at once would take 32 MiB; a chunk is 256 KiB
-    profile = _staircase_200()
+@st.composite
+def _profiles(draw):
+    # 1 to 40 segments of any width, any slope
+    inner = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=39))
+    xs = [0.0] + sorted(set(inner)) + [1.0]
+    slopes = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs) - 1, max_size=len(xs) - 1))
+    ys = np.cumsum(np.r_[0.0, np.diff(xs) * np.array(slopes)])
+    return Profile(tuple(zip(xs, ys.tolist())))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_profiles(), st.integers(2, MAX_SAMPLES), st.integers(0, 2**32 - 1))
+def test_counts_are_non_negative_int64_summing_to_n(profile, n_samples, seed):
+    counts = montecarlo.segment_counts(profile, n_samples, seed)
+    assert counts.dtype == np.int64
+    assert counts.shape == (len(profile.slopes),)
+    assert np.all(counts >= 0)
+    assert counts.sum() == n_samples
+
+
+def test_counts_take_the_shares_of_a_hundred_thousand_segments():
+    # numpy refuses probabilities whose leading S - 1 sum above 1 + 1e-12;
+    # with the last segment one ulp wide their exact sum is 1 - 2e-16, so
+    # the rounded quotients w_k / W must stay within that tolerance
+    widths = np.random.default_rng(5).uniform(0.5, 1.0, 10**5 - 1)
+    xs = np.cumsum(np.r_[0.0, widths])
+    xs = np.r_[xs, np.nextafter(xs[-1], np.inf)]
+    profile = Profile(tuple(zip(xs.tolist(), (0.5 * xs).tolist())))
+    assert np.argmin(np.diff(profile.xs)) == 10**5 - 1
+    counts = montecarlo.segment_counts(profile, MAX_SAMPLES, 6)
+    assert counts.sum() == MAX_SAMPLES
+    assert counts[-1] == 0
+
+
+def test_estimate_memory_does_not_grow_with_the_sample_count():
+    # 2^22 samples held at once would take 32 MiB; the counts take O(S)
     tracemalloc.start()
     try:
-        estimate_resistance(profile, 2**22, 1)
+        estimate_resistance(_staircase_200(), 2**22, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * 8 * montecarlo.MC_CHUNK < 8 * 2**22
+    assert peak < 2**16
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, None, "1"])
@@ -568,90 +580,31 @@ def _dyadic_contours_with_a_split(draw):
 
 
 @settings(max_examples=100, deadline=None)
-@given(_dyadic_contours_with_a_split(), st.integers(0, 2**32 - 1))
-def test_estimate_is_unchanged_by_a_collinear_split(contours, seed):
+@given(_dyadic_contours_with_a_split(), st.integers(0, 2**32 - 1), st.data())
+def test_estimate_is_unchanged_by_a_collinear_split(contours, seed, data):
     i, whole, split = contours
     assert split.slopes == whole.slopes[: i + 1] + whole.slopes[i:]
+    counts = montecarlo.segment_counts(whole, 5000, seed)
+    # the whole contour's counts, the split segment's count shared in any
+    # way by its two pieces
+    left = data.draw(st.integers(0, int(counts[i])))
+    shared = np.insert(counts, i, left)
+    shared[i + 1] -= left
     a = estimate_resistance(whole, 5000, seed)
-    b = estimate_resistance(split, 5000, seed)
-    # the same draws; the split segment's count is shared by its two pieces,
-    # so the sums differ by rounding alone, and so does the mean that the
-    # standard error's deviations are taken from
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "segment_counts", lambda *args: shared)
+        b = estimate_resistance(split, 5000, seed)
+    # the pieces have the segment's impulse, so the sums differ by rounding
+    # alone, and so does the mean that the standard error's deviations are
+    # taken from
     bound = 2 * (len(split.slopes) + 2) * EPS * a.estimate
     assert abs(a.estimate - b.estimate) <= bound
     assert b.std_error == pytest.approx(a.std_error, rel=1e-12, abs=bound)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.floats(-1e300, 1e300), min_size=2, max_size=2, unique=True),
-    st.integers(0, 2**32 - 1),
-)
-def test_uniform_draws_are_random_draws_scaled_in_place(ends, seed):
-    # segment_counts scales Generator.random in place instead of calling
-    # Generator.uniform; the doubles must be the same bit for bit
-    x0, x1 = sorted(ends)
-    expected = np.random.default_rng(seed).uniform(x0, x1, 257)
-    got = np.empty(257)
-    np.random.default_rng(seed).random(out=got)
-    got *= x1 - x0
-    got += x0
-    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-
-@st.composite
-def _profiles_with_breakpoints_on_draws(draw):
-    # 1 to 40 segments; some interior breakpoints sit exactly on draws of
-    # the seed's stream, the rest anywhere inside (0, 1)
-    n_seg = draw(st.integers(1, 40))
-    seed = draw(st.integers(0, 2**32 - 1))
-    n_samples = draw(st.integers(2, 3000))
-    draws = np.random.default_rng(seed).uniform(0.0, 1.0, n_samples)
-    on_draws = draw(st.lists(st.sampled_from(draws.tolist()), max_size=n_seg - 1))
-    free = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=n_seg - 1))
-    inner = sorted(set(on_draws + free))[: n_seg - 1]
-    xs = [0.0] + inner + [1.0]
-    slopes = draw(st.lists(st.floats(-3.0, 3.0), min_size=len(xs) - 1, max_size=len(xs) - 1))
-    ys = np.cumsum(np.r_[0.0, np.diff(xs) * np.array(slopes)])
-    return Profile(tuple(zip(xs, ys.tolist()))), n_samples, seed
-
-
-@settings(max_examples=200, deadline=None)
-@given(_profiles_with_breakpoints_on_draws(), st.sampled_from([1, 64, 2**15]))
-def test_both_counting_rules_give_the_same_counts(case, chunk):
-    # the direct rule counts each chunk against every breakpoint, the other
-    # sorts it and searches; both count the draws strictly below x_k
-    profile, n_samples, seed = case
-    results = []
-    for direct_max in (10**6, 0):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(montecarlo, "MC_CHUNK", chunk)
-            mp.setattr(montecarlo, "MC_DIRECT_MAX", direct_max)
-            counts = montecarlo.segment_counts(profile, n_samples, seed)
-            results.append((counts, estimate_resistance(profile, n_samples, seed)))
-    (direct, est_direct), (sorted_, est_sorted) = results
-    assert direct.dtype == sorted_.dtype == np.int64
-    assert np.array_equal(direct, sorted_)
-    assert direct.sum() == n_samples
-    assert est_direct == est_sorted
-
-
-def test_estimate_memory_is_bounded_by_the_chunk_on_the_direct_rule():
-    # two segments are counted by one comparison pass per chunk, no sort
-    profile = Profile(((0.0, 0.0), (0.6, 0.0), (1.0, 0.4)))
-    assert montecarlo.MC_DIRECT_MAX >= 1
-    tracemalloc.start()
-    try:
-        estimate_resistance(profile, 2**22, 1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * montecarlo.MC_CHUNK < 8 * 2**22
-
-
 def test_an_overflowing_width_is_refused_before_any_draw(monkeypatch):
-    # the in-place scaling x0 + (x1 - x0) * draw would give inf or nan for
-    # every draw where Generator.uniform raised; Profile refuses the width
+    # an overflowing width W would make every share w_k / W zero or nan;
+    # Profile refuses it
     def no_stream(*args):
         raise AssertionError("a random stream was opened")
 
