@@ -532,15 +532,26 @@ def test_counts_take_the_shares_of_a_hundred_thousand_segments():
     assert counts[-1] == 0
 
 
-def test_estimate_memory_does_not_grow_with_the_sample_count():
-    # 2^22 samples held at once would take 32 MiB; the counts take O(S)
+def _estimate_peak_bytes(profile, n_samples):
     tracemalloc.start()
     try:
-        estimate_resistance(_staircase_200(), 2**22, 1)
+        estimate_resistance(profile, n_samples, 1)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**16
+    return peak
+
+
+def test_estimate_memory_is_bounded_by_the_chunk():
+    # 2^22 samples held at once would take 32 MiB and one 2^15-sample chunk
+    # 256 KiB; the counts take O(S), so the peak stays below a quarter chunk
+    assert _estimate_peak_bytes(_staircase_200(), 2**22) < 2**16
+
+
+def test_estimate_memory_is_bounded_by_the_chunk_on_the_direct_rule():
+    # two segments, which the deleted comparison rule once counted directly
+    profile = Profile(((0.0, 0.0), (0.6, 0.0), (1.0, 0.4)))
+    assert _estimate_peak_bytes(profile, 2**22) < 2**16
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0, None, "1"])
