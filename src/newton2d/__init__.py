@@ -7,13 +7,13 @@ perturbation, and Monte Carlo particle collisions.
 
 The closed-form layer (geometry, functional, extremal, jsonio) needs
 neither numpy nor dataclasses (which would load inspect, ast and dis) and
-is imported eagerly.  Its records are plain immutable classes on
-geometry.Record; the one dataclass, check_certificate's report, is
-imported on the first check.  The oracle and Monte Carlo names
-(``DpConfig``, ``dp_min_resistance``, ``estimate_resistance`` and the rest
-of ``_LAZY``) are bound on first use by a module ``__getattr__`` (PEP 562),
-so ``import newton2d`` and the closed-form CLI commands never import
-numpy.  The first access to any of them binds all of them into this
+is imported eagerly.  Its records are immutable classes on
+geometry.Record, as are the oracles'; the two dataclasses, in
+newton2d.reports, load on the first certificate or collision check.  The
+oracle, Monte Carlo and report names (``DpConfig``, ``CollisionReport`` and
+the rest of ``_LAZY``) are bound on first use by a module ``__getattr__``
+(PEP 562), so ``import newton2d`` and the closed-form CLI commands never
+import numpy.  The first access to any of them binds all of them into this
 module and deletes ``__getattr__``.  CPython (3.11 and later) does not
 specialize attribute loads on a module whose namespace holds
 ``__getattr__``, so a hook that stayed would slow every ``newton2d.X``
@@ -117,7 +117,6 @@ __all__ = [
 
 _LAZY = {
     "montecarlo": (
-        "CollisionReport",
         "ImpactRecord",
         "McEstimate",
         "estimate_resistance",
@@ -133,6 +132,7 @@ _LAZY = {
         "finite_difference_gradient",
         "second_variation_test",
     ),
+    "reports": ("CollisionReport",),
 }
 
 

@@ -28,11 +28,12 @@ from .geometry import (
     make_staircase,
     make_triangle,
     profile_to_dict,
+    report_type,
     slope_power,
 )
 
 if TYPE_CHECKING:
-    from .certificate import CertificateReport
+    from .reports import CertificateReport
 
 #: Slope where the second derivative of the Hamiltonian changes sign.
 SLOPE_THRESHOLD = math.sqrt(3.0) / 3.0
@@ -239,14 +240,6 @@ def make_certificate(lam: float) -> ExtremalCertificate:
 CERTIFICATE_TOL = 1e-9
 
 
-@functools.cache
-def _report_type() -> type:
-    # a dataclass, loaded on the first check rather than with this module
-    from .certificate import CertificateReport
-
-    return CertificateReport
-
-
 def _hamiltonian_gap(
     slopes: Sequence[float], lam: float
 ) -> tuple[float, tuple[float, ...], float]:
@@ -303,7 +296,7 @@ def check_certificate(
             "slopes; the maximum is taken over nonnegative slopes only, so "
             "a pass is a local (one-sided) certificate"
         )
-    return _report_type()(
+    return report_type("CertificateReport")(
         passed=worst <= tol,
         lam=lam,
         worst_violation=worst,

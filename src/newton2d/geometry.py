@@ -12,7 +12,7 @@ import bisect
 import math
 import sys
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 
 
 class Variant(Enum):
@@ -34,9 +34,9 @@ class Record:
     any attribute raises AttributeError.  Instances keep their __dict__, so
     functools.cached_property, pickle and copy work as for a plain class.
 
-    Records are not dataclasses, so dataclasses.replace, asdict and fields
-    do not apply to them.  Every CLI command imports this layer, and
-    dataclasses would load inspect, ast and dis with it.
+    Records are not dataclasses, so dataclasses.replace, asdict, fields and
+    is_dataclass do not apply to them.  No CLI command loads dataclasses,
+    which would load inspect, ast and dis with it (see newton2d.reports).
     """
 
     _fields: tuple[str, ...] = ()
@@ -68,6 +68,13 @@ class Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+@cache
+def report_type(name: str) -> type:
+    """The dataclass of that name in newton2d.reports, imported on first use."""
+    from . import reports
+    return getattr(reports, name)
 
 
 class ProblemSpec(Record):

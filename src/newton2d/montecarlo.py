@@ -10,11 +10,14 @@ an independent check of the drag integrand rather than a restatement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import Profile, check_int, check_real, check_seed
+from .geometry import Profile, Record, check_int, check_real, check_seed, report_type
+
+if TYPE_CHECKING:
+    from .reports import CollisionReport
 
 #: Most samples estimate_resistance draws; see check_sample_count.
 MAX_SAMPLES = 2**25
@@ -26,25 +29,25 @@ MAX_SAMPLES = 2**25
 COLLISION_BLOCK = 2**14
 
 
-@dataclass(frozen=True)
-class ImpactRecord:
+class ImpactRecord(Record):
     """One particle impact: location, surface slope and momentum transfer."""
 
-    x: float
-    slope: float
-    incoming: tuple[float, float]
-    reflected: tuple[float, float]
-    axial_impulse: float
+    def __init__(
+        self,
+        x: float,
+        slope: float,
+        incoming: tuple[float, float],
+        reflected: tuple[float, float],
+        axial_impulse: float,
+    ) -> None:
+        self._init(x, slope, incoming, reflected, axial_impulse)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(Record):
     """Drag estimate with its standard error and sampling metadata."""
 
-    estimate: float
-    std_error: float
-    n_samples: int
-    rng_seed: int
+    def __init__(self, estimate: float, std_error: float, n_samples: int, rng_seed: int) -> None:
+        self._init(estimate, std_error, n_samples, rng_seed)
 
     def to_dict(self) -> dict:
         return {
@@ -55,15 +58,6 @@ class McEstimate:
         }
 
 
-@dataclass(frozen=True)
-class CollisionReport:
-    """Reflected-ray re-intersection diagnostics per segment."""
-
-    reintersections: tuple[tuple[int, int], ...]
-    passed: bool
-    notes: tuple[str, ...] = ()
-
-
 def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     """Specular reflection of a unit velocity off a surface of given slope.
 
@@ -72,11 +66,17 @@ def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     row 0 holding the x components and row 1 the y components.  Where
     1 + u^2 overflows (|u| above about 1.34e154) the normal is its limit
     (-sign u, 1/|u|), within 1/(2 u^2) relative of the exact one, below
-    rounding.  Each velocity component must pass the real-number rule.
+    rounding.  Each velocity component and a float slope pass the real-number
+    rule; ValueError names an array slope's first non-finite entry (flat index).
     """
     vx, vy = velocity
     check_real("velocity x", vx)
     check_real("velocity y", vy)
+    if not isinstance(slope, np.ndarray):
+        check_real("slope", slope)
+    elif not (finite := np.isfinite(slope)).all():
+        i = int(finite.argmin())
+        raise ValueError(f"slope[{i}] must be a finite number, got {float(slope.flat[i])!r}")
     vx, vy = float(vx), float(vy)
     norm = math.hypot(vx, vy)
     if abs(norm - 1.0) > 1e-9:
@@ -298,7 +298,7 @@ def single_collision_check(profile: Profile, ray_tol: float = 1e-9) -> Collision
             "follow the single-impact accounting regardless of any "
             "re-intersection"
         )
-    return CollisionReport(
+    return report_type("CollisionReport")(
         reintersections=tuple(hits),
         passed=not hits,
         notes=tuple(notes),

@@ -10,14 +10,13 @@ Three oracles, none of which reuses the closed-form solution path:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
-    Profile, ProblemSpec, Variant, check_int, check_real, check_seed, slope_power
+    Profile, ProblemSpec, Record, Variant, check_int, check_real, check_seed, slope_power
 )
 
 #: Most sums dp_min_resistance lets one (min,+) product hold, counted as
@@ -35,8 +34,7 @@ DP_BLOCK = 2**16
 MAX_PERTURB_ELEMENTS = 2**20
 
 
-@dataclass(frozen=True)
-class DpConfig:
+class DpConfig(Record):
     """Grid resolution for the dynamic-programming minimization.
 
     n_cells (N) and n_levels (M) pass the integer rule with N, M >= 2 (the
@@ -47,18 +45,14 @@ class DpConfig:
     DP's design: its slope sets, schedule, tie rule, cost and size cap.
     """
 
-    n_cells: int
-    n_levels: int
-    slope_bound: float = 0.0
-
-    def __post_init__(self) -> None:
-        check_int("n_cells", self.n_cells, 2)
-        check_int("n_levels", self.n_levels, 2)
-        check_real("slope_bound", self.slope_bound, 0.0)
+    def __init__(self, n_cells: int, n_levels: int, slope_bound: float = 0.0) -> None:
+        check_int("n_cells", n_cells, 2)
+        check_int("n_levels", n_levels, 2)
+        check_real("slope_bound", slope_bound, 0.0)
+        self._init(n_cells, n_levels, slope_bound)
 
 
-@dataclass(frozen=True)
-class PerturbationConfig:
+class PerturbationConfig(Record):
     """Scale, trial count, seed and mesh size for perturbation tests.
 
     epsilon passes the real-number rule (positive), trials (>= 1) and mesh
@@ -69,35 +63,34 @@ class PerturbationConfig:
     mesh of 16 that allows up to 61680 trials.
     """
 
-    epsilon: float
-    trials: int
-    rng_seed: int
-    mesh: int = 16
-
-    def __post_init__(self) -> None:
-        check_real("epsilon", self.epsilon, positive=True)
-        check_int("trials", self.trials, 1)
-        check_int("mesh", self.mesh, 2)
-        if self.trials * (self.mesh + 1) > MAX_PERTURB_ELEMENTS:
+    def __init__(self, epsilon: float, trials: int, rng_seed: int, mesh: int = 16) -> None:
+        check_real("epsilon", epsilon, positive=True)
+        check_int("trials", trials, 1)
+        check_int("mesh", mesh, 2)
+        if trials * (mesh + 1) > MAX_PERTURB_ELEMENTS:
             raise ValueError(
-                f"trials * (mesh + 1) = {self.trials * (self.mesh + 1)} exceeds "
-                f"the cap of {MAX_PERTURB_ELEMENTS}: at mesh {self.mesh} at most "
-                f"{MAX_PERTURB_ELEMENTS // (self.mesh + 1)} trials"
+                f"trials * (mesh + 1) = {trials * (mesh + 1)} exceeds "
+                f"the cap of {MAX_PERTURB_ELEMENTS}: at mesh {mesh} at most "
+                f"{MAX_PERTURB_ELEMENTS // (mesh + 1)} trials"
             )
-        check_seed(self.rng_seed)
+        check_seed(rng_seed)
+        self._init(epsilon, trials, rng_seed, mesh)
 
 
-@dataclass(frozen=True)
-class PerturbationReport:
+class PerturbationReport(Record):
     """Drag changes under random admissible perturbations of a slope s."""
 
-    base_slope: float
-    epsilon: float
-    min_delta: float
-    max_delta: float
-    mean_ratio: float
-    expected_ratio: float
-    ratios: tuple[float, ...]
+    def __init__(
+        self,
+        base_slope: float,
+        epsilon: float,
+        min_delta: float,
+        max_delta: float,
+        mean_ratio: float,
+        expected_ratio: float,
+        ratios: tuple[float, ...],
+    ) -> None:
+        self._init(base_slope, epsilon, min_delta, max_delta, mean_ratio, expected_ratio, ratios)
 
 
 def dp_min_resistance(spec: ProblemSpec, config: DpConfig) -> tuple[float, Profile]:
@@ -389,9 +382,9 @@ def finite_difference_gradient(
     point: np.ndarray,
     step: float,
 ) -> np.ndarray:
-    """Central-difference gradient, O(step^2) accurate.
+    """Central-difference gradient, O(step^2) accurate, for cross-checks only.
 
-    Cross-check utility only; never a substitute for analytic gradients.
+    point goes to evaluator unchecked, since its domain is the evaluator's.
     """
     check_real("step", step, positive=True)
     point = np.asarray(point, dtype=float)

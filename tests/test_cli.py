@@ -707,7 +707,7 @@ def test_cli_import_does_not_load_scipy():
 
 _ORACLE_MODULES = ("numpy", "newton2d.oracle", "newton2d.montecarlo")
 
-_RUN_COMMANDS = """
+_RUN_COMMANDS_TEMPLATE = """
 import contextlib, io, json, sys
 from newton2d.cli import main
 codes = []
@@ -716,7 +716,8 @@ for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stderr(io.StringIO()):
             codes.append(main(argv))
 print(json.dumps([codes, [m for m in %r if m in sys.modules]]))
-""" % (_ORACLE_MODULES,)
+"""
+_RUN_COMMANDS = _RUN_COMMANDS_TEMPLATE % (_ORACLE_MODULES,)
 
 
 def _solve(r, H, variant):
@@ -775,6 +776,23 @@ def test_closed_form_commands_do_not_load_dataclasses(tmp_path):
     proc = _run_python("-c", _RUN_COMMANDS_AFTER_IMPORT, json.dumps(commands))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[], []]
+
+
+def test_oracle_commands_do_not_load_dataclasses(tmp_path):
+    # the oracles' records are plain classes too: dataclasses stays in
+    # newton2d.reports, which only the certificate and collision checks
+    # load.  numpy loads inspect, so inspect is not asserted on
+    verify = ["verify", "--r", "1", "--H", "0.4", "--variant", "restricted"]
+    commands = [
+        [*verify, "--samples", "1000"],
+        [*verify, "--oracle", "dp"],
+        ["sweep", "--H-min", "0.5", "--H-max", "1.5", "--steps", "2",
+         "--cells", "8", "--levels", "8", "--out", str(tmp_path / "sweep.csv")],
+    ]
+    script = _RUN_COMMANDS_TEMPLATE % (("dataclasses", "newton2d.reports"),)
+    proc = _run_python("-c", script, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK] * 3, []]
 
 
 @pytest.mark.parametrize(

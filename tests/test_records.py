@@ -1,8 +1,9 @@
-"""The closed-form layer's records behave as the frozen dataclasses they replace.
+"""The package's records behave as the frozen dataclasses they replace.
 
-Eight of them are plain classes on geometry.Record; CertificateReport is
-still a frozen dataclass.  Each table row gives a record's class, its field
-names in order, one value per field, and the fields that have defaults.
+Thirteen of them are plain classes on geometry.Record; CertificateReport and
+CollisionReport, in newton2d.reports, are still frozen dataclasses.  Each
+table row gives a record's class, its field names in order, one value per
+field, and the fields that have defaults.
 """
 
 import copy
@@ -14,7 +15,6 @@ import pkgutil
 import pytest
 
 import newton2d
-from newton2d.certificate import CertificateReport
 from newton2d.extremal import (
     Classification,
     ExtremalCertificate,
@@ -31,6 +31,9 @@ from newton2d.geometry import (
     ValidationResult,
     Variant,
 )
+from newton2d.montecarlo import ImpactRecord, McEstimate
+from newton2d.oracle import DpConfig, PerturbationConfig, PerturbationReport
+from newton2d.reports import CertificateReport, CollisionReport
 
 _POINTS = ((0.0, 0.0), (0.6, 0.0), (1.0, 0.4))
 _TRIANGLE = Profile(((0.0, 0.0), (1.0, 2.0)))
@@ -54,7 +57,18 @@ RECORDS = [
     (GradientReport,
      ("analytic", "finite_difference", "analytic_norm", "finite_difference_norm", "coordinate_names"),
      ((0.0, 1e-3), (1e-9, 1e-3), 1e-3, 1e-3, ("xi_1", "xi_2")), {}),
+    (DpConfig, ("n_cells", "n_levels", "slope_bound"), (8, 16, 2.0), {"slope_bound": 0.0}),
+    (PerturbationConfig, ("epsilon", "trials", "rng_seed", "mesh"), (0.01, 3, 7, 8), {"mesh": 16}),
+    (PerturbationReport,
+     ("base_slope", "epsilon", "min_delta", "max_delta", "mean_ratio", "expected_ratio", "ratios"),
+     (0.4, 0.01, 1e-6, 2e-6, 1.5, 1.49, (1.4, 1.6)), {}),
+    (ImpactRecord, ("x", "slope", "incoming", "reflected", "axial_impulse"),
+     (0.5, 0.7, (0.0, -1.0), (-0.94, 0.34), 1.34), {}),
+    (McEstimate, ("estimate", "std_error", "n_samples", "rng_seed"), (0.8, 1e-3, 1000, 42), {}),
+    (CollisionReport, ("reintersections", "passed", "notes"), (((1, 2),), False, ("note",)),
+     {"notes": ()}),
 ]
+DATACLASSES = {CertificateReport, CollisionReport}
 IDS = [row[0].__name__ for row in RECORDS]
 
 
@@ -135,16 +149,22 @@ def test_repr_names_every_field(row):
 
 def test_records_list_their_fields_in_order(row):
     cls, names, _, _ = row
-    if cls is CertificateReport:
+    if cls in DATACLASSES:
         assert tuple(f.name for f in dataclasses.fields(cls)) == names
     else:
         assert issubclass(cls, Record) and cls._fields == names
 
 
+def _package_modules():
+    return [
+        importlib.import_module(f"newton2d.{module.name}")
+        for module in pkgutil.iter_modules(newton2d.__path__)
+    ]
+
+
 def _package_records():
     # every Record subclass defined in the package, each module imported
-    for module in pkgutil.iter_modules(newton2d.__path__):
-        importlib.import_module(f"newton2d.{module.name}")
+    _package_modules()
     found, stack = set(), [Record]
     while stack:
         for cls in stack.pop().__subclasses__():
@@ -158,9 +178,20 @@ def test_every_record_defines_its_own_constructor():
     # _fields are read from the class's own __init__; an inherited one would
     # silently give a record its base's fields
     records = _package_records()
-    assert records == {cls for cls, *_ in RECORDS} - {CertificateReport}
+    assert records == {cls for cls, *_ in RECORDS} - DATACLASSES
     for cls in records:
         assert "__init__" in vars(cls), cls.__name__
+
+
+def test_the_two_reports_are_the_only_dataclasses():
+    found = {
+        obj
+        for module in _package_modules()
+        for obj in vars(module).values()
+        if dataclasses.is_dataclass(obj) and obj.__module__.startswith("newton2d.")
+    }
+    assert found == DATACLASSES
+    assert {cls.__module__ for cls in found} == {"newton2d.reports"}
 
 
 def test_fields_are_the_positional_parameters_of_the_constructor():
