@@ -319,8 +319,9 @@ def second_variation_test(
     straight contour: positive for s above sqrt(3)/3 (weak local minimum),
     negative below (not a minimum).  Classification is asserted only for
     the straight contour; the weak (derivative sup-norm) neighborhood
-    notion is what is being tested.  A slope s above about 2.4e51, where
-    (1+s^2)^3 overflows, is refused by name before anything is drawn.
+    notion is what is being tested.  A profile of more than one segment is
+    refused, naming its segment count, and so is a slope s above about
+    2.4e51, where (1+s^2)^3 overflows, both before anything is drawn.
 
     Each trial keeps its own stream, spawned from rng_seed by
     SeedSequence, and its draws fill one row of a trials x (mesh + 1) edge
@@ -331,10 +332,13 @@ def second_variation_test(
     products alone: not on the BLAS kernel the CPU selects, nor on the order
     of the terms.
     """
+    if len(profile.slopes) != 1:
+        raise ValueError(
+            "the second variation perturbs a straight contour, "
+            f"got a profile of {len(profile.slopes)} segments"
+        )
+    (s,) = profile.slopes
     r = profile.breakpoints[-1][0]
-    s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
-        r - profile.breakpoints[0][0]
-    )
     expected = (6.0 * s * s - 2.0) / slope_power(s, 3, "the second variation")
     eps = config.epsilon
     trials, mesh = config.trials, config.mesh
@@ -384,9 +388,12 @@ def finite_difference_gradient(
 ) -> np.ndarray:
     """Central-difference gradient, O(step^2) accurate, for cross-checks only.
 
-    point goes to evaluator unchecked, since its domain is the evaluator's.
+    point must be one-dimensional, else ValueError names it; its values go
+    to evaluator unchecked, since their domain is the evaluator's.
     """
     check_real("step", step, positive=True)
+    if np.ndim(point) != 1:
+        raise ValueError(f"point must be a one-dimensional array, got {point!r}")
     point = np.asarray(point, dtype=float)
     grad = np.empty_like(point)
     for i in range(point.size):

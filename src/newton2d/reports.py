@@ -16,7 +16,7 @@ class CertificateReport:
 
     passed: bool
     lam: float
-    worst_violation: float
+    gap: float
     h_max: float
     segment_values: tuple[float, ...]
     notes: tuple[str, ...] = ()

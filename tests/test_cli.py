@@ -67,6 +67,18 @@ def test_solve_infinite_family(capsys):
     assert len(payload["profiles"]) >= 2
 
 
+def test_solve_answers_a_body_whose_flat_budget_rounds(capsys):
+    # r - H rounds at H = 1e-16, so a rise misses slope 1, but over a width
+    # so small that each representative's drag is r - H/2 to its rounding
+    code, out, _ = _run(
+        capsys, ["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"]
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["status"] == "InfiniteFamily"
+    assert len(payload["profiles"]) == 3
+
+
 def test_solve_no_solution_exit_code(capsys):
     code, out, _ = _run(
         capsys, ["solve", "--r", "1", "--H", "0.5", "--variant", "unrestricted"]
@@ -907,7 +919,9 @@ def test_verify_dp_is_scale_free_at_extreme_sizes(r, H):
           "--eps", "nan"], "epsilon"),
         (["solve", "--r", "1", "--H", "1e-17", "--variant", "restricted"], "H/r = 1e-17"),
         (["solve", "--r", "1", "--H", "1e-300", "--variant", "restricted"], "H/r = 1e-300"),
-        (["solve", "--r", "1", "--H", "1e-16", "--variant", "restricted"], "H/r = 1e-16"),
+        # the two-rise representative's second rise rounds to zero width
+        (["solve", "--r", "1", "--H", "1.1102230246251565e-16", "--variant", "restricted"],
+         "H/r = 1.1102230246251565e-16"),
         (["verify", "--r", "1", "--H", "1e-300", "--variant", "unrestricted",
           "--oracle", "dp", "--slope-bound", "1e10"], "slope_bound * dx/dh"),
         (["solve", "--r", "1e-310", "--H", "1", "--variant", "restricted"],

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from newton2d.extremal import (
 )
 from newton2d.functional import staircase_resistance, triangle_resistance
 from newton2d.geometry import (
+    Profile,
     ProblemSpec,
     StaircaseParams,
     Variant,
@@ -197,14 +199,33 @@ def test_certificate_invariants():
         ExtremalCertificate(lam=0.5, stationary=(), classification=(), psi0=1.0)
 
 
+def _exact_excess(profile):
+    # drag - (r - H/2) in rationals from the breakpoints, (r, H) the last one
+    pts = [(Fraction(x), Fraction(y)) for x, y in profile.breakpoints]
+    drag = sum(
+        (x1 - x0) ** 3 / ((x1 - x0) ** 2 + (y1 - y0) ** 2)
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:])
+    )
+    r, H = pts[-1]
+    return drag - (r - H / 2)
+
+
+def _gap_bound(profile):
+    # check_certificate's pass bound, (S + 4) * 2^-52 * W
+    return (len(profile.slopes) + 4) * 2.0**-52 * (profile.xs[-1] - profile.xs[0])
+
+
+def _assert_gap_is_exact(profile, report):
+    assert abs(Fraction(report.gap) - _exact_excess(profile)) <= Fraction(_gap_bound(profile))
+
+
 def test_check_certificate_accepts_minimizing_staircase():
     spec = ProblemSpec(r=1.0, H=0.4)
     profile = make_staircase(spec, io_staircase_params(spec))
     report = check_certificate(profile, spec, lam=0.5)
     assert report.passed
-    assert report.worst_violation <= 1e-9
     # slopes 0 and 1 both attain the Hamiltonian maximum exactly
-    assert report.worst_violation == pytest.approx(0.0, abs=1e-15)
+    assert report.gap == 0.0
 
 
 def test_check_certificate_accepts_steep_triangle():
@@ -221,11 +242,11 @@ def test_check_certificate_is_exact_on_triangles():
     # so the exact Hamiltonian maximum leaves no violation either way
     from newton2d.geometry import make_triangle
 
-    for s in (1.5, 2.0, 7.0, 40.0):
+    for s in (1.5, 2.0, 7.0, 40.0, 1e3, 1e6):
         spec = ProblemSpec(r=1.0, H=s)
         report = check_certificate(make_triangle(spec), spec, lam=lambda_for_slope(s))
         assert report.passed
-        assert abs(report.worst_violation) <= 1e-15, (s, report.worst_violation)
+        assert report.gap == 0.0, (s, report.gap)
 
 
 def test_check_certificate_rejects_wrong_multiplier():
@@ -234,7 +255,63 @@ def test_check_certificate_rejects_wrong_multiplier():
 
     report = check_certificate(make_triangle(spec), spec, lam=0.5)
     assert not report.passed
-    assert report.worst_violation > 1e-3
+    # drag 0.2 against the bound r - H/2 = 0 of the wrong multiplier
+    assert report.gap == pytest.approx(0.2, rel=1e-15)
+
+
+def test_check_certificate_fails_a_rise_off_slope_one_by_its_width():
+    # a rise at slope 1 + 1e-5 over half the width: each slope alone falls
+    # only 2.5e-11 below the Hamiltonian maximum, inside a per-slope
+    # tolerance such as 1e-9, but the drag exceeds r - H/2 by 1.25e-11 * r,
+    # some 10^4 times the drag's own rounding
+    r = 3.7
+    profile = Profile(((0.0, 0.0), (r / 2, 0.0), (r, (1.0 + 1e-5) * r / 2)))
+    spec = ProblemSpec(r=r, H=profile.breakpoints[-1][1])
+    report = check_certificate(profile, spec, lam=0.5)
+    assert max(report.h_max - v for v in report.segment_values) < 1e-9
+    assert not report.passed
+    assert report.gap == pytest.approx(1.25e-11 * r, rel=1e-4)
+    _assert_gap_is_exact(profile, report)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    r=st.floats(1e-3, 1e3),
+    h_over_r=st.one_of(st.just(1.0), st.floats(1e-17, 1.0)),
+    cuts=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=12),
+    member=st.one_of(st.none(), st.tuples(st.integers(1, 6), st.integers(0, 2**32))),
+)
+def test_certificate_gap_is_the_exact_excess_drag(r, h_over_r, cuts, member):
+    # a monotone polyline from (0, 0) to (r, H), H <= r, through the drawn
+    # cuts, or a member of the minimizing family: at lambda = 1/2 the gap is
+    # drag - (r - H/2), computed in rationals, to within the pass bound
+    spec = ProblemSpec(r=r, H=h_over_r * r)
+    try:
+        if member is None:
+            xs = sorted({r * a for a, _ in cuts} - {0.0, r})
+            ys = sorted(spec.H * b for _, b in cuts)[: len(xs)]
+            profile = Profile(((0.0, 0.0), *zip(xs, ys), (r, spec.H)))
+        else:
+            (params,) = enumerate_minimizers(spec, member[0], 1, member[1])
+            profile = make_staircase(spec, params)
+    except ValueError:
+        # a slope that overflows, or a thin member's rise of zero width
+        return
+    report = check_certificate(profile, spec, lam=0.5)
+    _assert_gap_is_exact(profile, report)
+    if member is not None:
+        assert report.passed
+
+
+def test_check_certificate_fails_a_gap_beyond_the_doubles():
+    # lam * u overflows: terms of both infinite signs have no sum, and four
+    # terms of 1e308 sum beyond the doubles; either way the profile fails
+    wedge = Profile(((0.0, 0.0), (0.5, -5e299), (1.0, 1.0)))
+    report = check_certificate(wedge, ProblemSpec(1.0, 1.0, Variant.UNRESTRICTED), 1e300)
+    assert math.isnan(report.gap) and not report.passed
+    steep = Profile(tuple((float(i), i * 1e307) for i in range(5)))
+    report = check_certificate(steep, ProblemSpec(4.0, 4e307), 10.0)
+    assert report.gap == math.inf and not report.passed
 
 
 def test_check_certificate_notes_unrestricted_one_sidedness():
@@ -579,13 +656,24 @@ def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
         enumerate_minimizers(ProblemSpec(r=1.0, H=1e-17), 1, 1, 0)
 
 
-@pytest.mark.parametrize("H", [1e-13, 1e-11, 1e-10])
-def test_enumerate_refuses_a_family_whose_members_fail_their_certificate(H):
-    # with n = 3, seed 1, 49, 6 and 1 of the 50 members have a rise that
-    # misses slope 1 by more than the certificate at lambda = 1/2 allows
+# the largest exact excess drag of the 50 members of each thin family
+_THIN_FAMILY_EXCESS = {1e-13: 7.445026029370274e-19, 1e-11: 2.6915289794992978e-20, 1e-10: 1.5464072590075722e-21}
+
+
+@pytest.mark.parametrize("H", list(_THIN_FAMILY_EXCESS))
+def test_enumerate_answers_a_thin_family_with_its_exact_gaps(H):
+    # r - H and the sums of widths round, so a rise misses slope 1, but over
+    # so small a width that each member's drag exceeds r - H/2 by far less
+    # than its own rounding: the largest exact excess of the 50 is pinned
     spec = ProblemSpec(r=1.0, H=H)
-    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} is too small")):
-        enumerate_minimizers(spec, 3, 50, 1)
+    members = enumerate_minimizers(spec, 3, 50, 1)
+    assert members == _reference_minimizers(spec, 3, 50, 1)
+    profiles = [make_staircase(spec, params) for params in members]
+    assert float(max(map(_exact_excess, profiles))) == _THIN_FAMILY_EXCESS[H]
+    for profile in profiles:
+        report = check_certificate(profile, spec, 0.5)
+        assert report.passed
+        _assert_gap_is_exact(profile, report)
 
 
 @pytest.mark.parametrize("r", [1.0, 3.7, 1e-3])
@@ -600,19 +688,36 @@ def test_thin_families_are_refused_or_certified(r):
                 members = enumerate_minimizers(spec, n, 50, 1)
             except ValueError as exc:
                 assert f"H/r = {spec.H / spec.r!r} is too small" in str(exc)
-                assert spec.H / spec.r < 1e-9
+                assert "over zero width" in str(exc)
                 continue
             assert members == _reference_minimizers(spec, n, 50, 1)
             for params in members:
                 assert check_certificate(make_staircase(spec, params), spec, 0.5).passed, spec
 
 
-@pytest.mark.parametrize("H", [1e-16, 1e-14, 1e-12])
-def test_solve_refuses_a_body_whose_representatives_fail_their_certificate(H):
-    # r - H rounds, so the flat-then-rise rise (and at 1e-12 the two-rise
-    # member's) misses slope 1 by more than the certificate allows
-    with pytest.raises(ValueError, match=re.escape(f"H/r = {H!r} is too small")):
-        solve(ProblemSpec(r=1.0, H=H))
+# the exact excess drag of solve's three representatives of each thin body
+_THIN_BODY_EXCESS = {
+    1e-16: (2.720850459411498e-19, 0.0, 6.415102186762966e-18),
+    1e-14: (1.5983897001347472e-21, 0.0, 1.5983897001347472e-21),
+    1e-12: (1.223453317425676e-22, 0.0, 2.2773840652592124e-21),
+}
+
+
+@pytest.mark.parametrize("H", list(_THIN_BODY_EXCESS))
+def test_solve_answers_a_thin_body_with_its_exact_gap(H):
+    # r - H rounds, so the flat-then-rise rise (and the two-rise member's)
+    # misses slope 1, but over so small a width that the drag exceeds
+    # r - H/2 by far less than its own rounding: each excess is pinned
+    spec = ProblemSpec(r=1.0, H=H)
+    report = solve(spec)
+    assert report.status is SolutionStatus.INFINITE_FAMILY
+    assert report.minimal_resistance == 1.0 - H / 2.0
+    excess = tuple(float(_exact_excess(p)) for p in report.representative_profiles)
+    assert excess == _THIN_BODY_EXCESS[H]
+    for profile in report.representative_profiles:
+        certificate = check_certificate(profile, spec, report.certificate.lam)
+        assert certificate.passed
+        _assert_gap_is_exact(profile, certificate)
 
 
 def test_solve_still_writes_the_smallest_staircases_that_fit_in_doubles():
@@ -633,7 +738,7 @@ def test_thin_bodies_are_refused_or_certified(r):
             report = solve(spec)
         except ValueError as exc:
             assert f"H/r = {spec.H / spec.r!r} is too small" in str(exc)
-            assert spec.H / spec.r < 1e-10
+            assert "over zero width" in str(exc)
             continue
         for profile in report.representative_profiles:
             assert check_certificate(profile, spec, report.certificate.lam).passed, spec

@@ -694,6 +694,21 @@ def test_second_variation_names_a_slope_whose_curvature_overflows():
     assert report.expected_ratio == (6.0 * s * s - 2.0) / (1.0 + s * s) ** 3
 
 
+def test_second_variation_refuses_a_profile_of_more_than_one_segment():
+    # it perturbs one slope: the restricted minimizers at H/r = 0.4 would
+    # otherwise be tested as the triangle through their end points
+    from newton2d.extremal import solve
+
+    spec = ProblemSpec(r=1.0, H=0.4)
+    config = PerturbationConfig(epsilon=0.01, trials=4, rng_seed=0)
+    counts = []
+    for profile in solve(spec).representative_profiles:
+        counts.append(len(profile.slopes))
+        with pytest.raises(ValueError, match=f"got a profile of {counts[-1]} segments"):
+            second_variation_test(profile, spec, config)
+    assert counts == [2, 2, 5]
+
+
 def test_second_variation_sign_classifies_the_straight_contour():
     config = PerturbationConfig(epsilon=0.005, trials=64, rng_seed=42)
     below = second_variation_test(*_triangle(0.3), config)

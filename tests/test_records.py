@@ -48,7 +48,7 @@ RECORDS = [
     (ExtremalCertificate, ("lam", "stationary", "classification", "psi0"),
      (0.5, (0.29559774252208476, 1.0), (Classification.LOCAL_MIN, Classification.LOCAL_MAX), -1.0),
      {"psi0": -1.0}),
-    (CertificateReport, ("passed", "lam", "worst_violation", "h_max", "segment_values", "notes"),
+    (CertificateReport, ("passed", "lam", "gap", "h_max", "segment_values", "notes"),
      (True, 0.5, 0.0, -1.0, (-1.0, -1.0), ("note",)), {"notes": ()}),
     (SolutionReport,
      ("variant", "status", "minimal_resistance", "representative_profiles", "certificate", "notes"),
