@@ -227,6 +227,14 @@ class ExtremalCertificate(Record):
         return -self.lam
 
 
+@functools.lru_cache(maxsize=SLOPES_CACHE_SIZE, typed=True)
+def _max_hamiltonian(lam: float) -> float:
+    # h_max over the nonnegative slopes, memoized beside stationary_slopes'
+    # roots and on the same terms: a bad lam raises there, before anything
+    # is stored, so it raises on every call
+    return max(_hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
+
+
 def make_certificate(lam: float) -> ExtremalCertificate:
     slopes = stationary_slopes(lam)
     return ExtremalCertificate(
@@ -254,7 +262,8 @@ def check_certificate(profile: Profile, spec: ProblemSpec, lam: float) -> Certif
     At lam = 1/2, h_max = -1 (at u = 0 and u = 1), so the gap is exactly
     drag - (r - H/2), each term w_i*u_i(u_i - 1)^2/(2(1 + u_i^2)).  The gap
     is math.fsum of the terms; the report also keeps h_max and each
-    segment's H(u_i).
+    segment's H(u_i).  h_max is memoized per lam, like stationary_slopes'
+    roots, in an LRU cache of SLOPES_CACHE_SIZE multipliers.
 
     The profile passes when gap <= (S + 4) * 2^-52 * W for S segments.  Half
     of that bound is the drag's own rounding: S terms, each at most w_i and
@@ -271,14 +280,18 @@ def check_certificate(profile: Profile, spec: ProblemSpec, lam: float) -> Certif
     For the unrestricted variant the Hamiltonian is unbounded above as
     u -> -infinity (that is why no unrestricted global minimizer exists):
     a negative slope adds a negative term, which can offset another
-    segment's excess, so a pass says only that the drag is at most the
-    monotone profiles' bound, a one-sided/local statement.  A passing
+    segment's excess.  So a pass there bounds the drag by the monotone
+    profiles' bound -h_max*W - lam*Y, within the rounding bound above, and
+    certifies nothing more: the wedge (0, 0), (0.5, -5e299), (1, 1) passes
+    at lam = 1 with gap 0.0 (its two terms, -5e299 and 5e299, cancel), and
+    its drag 0.0 equals that bound, though no unrestricted minimizer
+    exists.  A passing
     report for a restricted-variant profile certifies a Pontryagin
     extremal, hence a global minimizer within the admissible class.  A lam
     that is not positive and finite raises ValueError.
     """
-    h_max = max(_hamiltonian(u, lam) for u in (0.0, *stationary_slopes(lam)))
-    values = tuple(_hamiltonian(u, lam) for u in profile.slopes)
+    h_max = _max_hamiltonian(lam)
+    values = [_hamiltonian(u, lam) for u in profile.slopes]
     pts = profile.breakpoints
     terms = [(x1 - x0) * (h_max - v) for (x0, _), (x1, _), v in zip(pts, pts[1:], values)]
     try:
@@ -299,7 +312,7 @@ def check_certificate(profile: Profile, spec: ProblemSpec, lam: float) -> Certif
         lam=lam,
         gap=gap,
         h_max=h_max,
-        segment_values=values,
+        segment_values=tuple(values),
         notes=tuple(notes),
     )
 

@@ -124,8 +124,10 @@ def segment_counts(profile: Profile, n_samples: int, rng_seed: int) -> np.ndarra
     """
     check_sample_count(n_samples)
     check_seed(rng_seed)
-    widths = np.diff(profile.xs)
-    return np.random.default_rng(rng_seed).multinomial(n_samples, widths / widths.sum())
+    pts = profile.breakpoints
+    widths = [x1 - x0 for (x0, _), (x1, _) in zip(pts, pts[1:])]
+    total = math.fsum(widths)
+    return np.random.default_rng(rng_seed).multinomial(n_samples, [w / total for w in widths])
 
 
 def estimate_resistance(
@@ -151,29 +153,34 @@ def estimate_resistance(
 
     Estimate and error: mean = sum_k c_k g_k / n, estimate =
     (x1 - x0) mean and std_error = (x1 - x0) sqrt(v / n) with
-    v = sum_k c_k (g_k - mean)^2 / (n - 1).  Every term is non-negative,
-    so the sum of S rounded products, and the estimate, is within (S + 2) eps
-    of its exact value for the drawn counts, relative (eps = 2^-52); the
+    v = sum_k c_k (g_k - mean)^2 / (n - 1).  Both sums are math.fsum of
+    the S rounded products, a correctly rounded sum; every term is
+    non-negative, so each sum is within eps of its exact value for the
+    drawn counts, relative (eps = 2^-52), and the estimate, after the
+    division by n, the rounded width and the product, within 3 eps; the
     deviations g_k - mean in v carry that error of the mean, absolute.
     Summing the n per-sample impulses instead gives the same values within
     that bound and its own rounding, about (log2 n + 16) eps for numpy's
-    pairwise sum.  The probabilities are rounded: numpy sums the S widths
-    pairwise, within (log2 S + 16) eps of W, and each quotient adds eps/2,
-    so p_k and the sum of the leading S - 1 shares are within about
-    (log2 S + 17) eps of exact, far inside the 1 + 1e-12 that
-    Generator.multinomial accepts, and far below any Monte Carlo
-    resolution (a count resolves shares of 1/n, 3e-8 at the cap).
+    pairwise sum.  The probabilities are rounded: the widths come from the
+    breakpoints, their total W' is math.fsum of them, within eps/2 of
+    their exact sum, and each quotient w_k / W' adds eps/2, so each p_k is
+    within eps of its exact share, relative, and the leading S - 1 shares,
+    which numpy adds with a Kahan sum, within a few eps of at most 1: far
+    inside the 1 + 1e-12 that Generator.multinomial accepts, and far below
+    any Monte Carlo resolution (a count resolves shares of 1/n, 3e-8 at
+    the cap).
 
     n_samples is checked by check_sample_count and rng_seed by check_seed
     before anything is drawn; Profile already refuses a width x1 - x0
     that overflows.
     """
-    counts = segment_counts(profile, n_samples, rng_seed).astype(float)
+    counts = segment_counts(profile, n_samples, rng_seed).tolist()
     # half the axial impulse of a particle reflected by each segment
-    g = (reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0
-    mean = float(np.sum(counts * g)) / n_samples
-    variance = float(np.sum(counts * (g - mean) ** 2)) / (n_samples - 1)
-    width = profile.xs[-1] - profile.xs[0]
+    g = ((reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0).tolist()
+    mean = math.fsum([c * gk for c, gk in zip(counts, g)]) / n_samples
+    deviations = [gk - mean for gk in g]
+    variance = math.fsum([c * (d * d) for c, d in zip(counts, deviations)]) / (n_samples - 1)
+    width = profile.breakpoints[-1][0] - profile.breakpoints[0][0]
     return McEstimate(
         estimate=width * mean,
         std_error=width * math.sqrt(variance) / math.sqrt(n_samples),
@@ -244,7 +251,7 @@ def single_collision_check(profile: Profile, ray_tol: float = 1e-9) -> Collision
     check_real("ray_tol", ray_tol, 0.0, 1.0)
     if ray_tol == 1.0:
         raise ValueError(f"ray_tol must lie in [0, 1), got {ray_tol}")
-    x, y = np.array(profile.xs), np.array(profile.ys)
+    x, y = np.array(profile.breakpoints).T
     slopes = np.array(profile.slopes)
     n_seg = slopes.size
     # the bound: for u_i != 0 the side the rays do not travel holds the

@@ -323,10 +323,12 @@ def second_variation_test(
     refused, naming its segment count, and so is a slope s above about
     2.4e51, where (1+s^2)^3 overflows, both before anything is drawn.
 
-    Each trial keeps its own stream, spawned from rng_seed by
-    SeedSequence, and its draws fill one row of a trials x (mesh + 1) edge
-    array and a trials x mesh phi array; sorting, differencing and the
-    element-wise arithmetic then run once over all rows.  The three sums of
+    One generator, default_rng(rng_seed), draws every trial: first a
+    trials x (mesh - 1) block of cuts, then a trials x mesh block of phi,
+    and trial t reads row t of each.  The cuts fill a trials x (mesh + 1)
+    edge array; sorting, differencing and the element-wise arithmetic then
+    run once over all rows.  The digits at a given seed follow numpy's
+    stream, as Monte Carlo's do.  The three sums of
     a trial (the recentering, dR and int phi^2) are math.fsum of the
     element-wise products, correctly rounded, so their bits depend on IEEE
     products alone: not on the BLAS kernel the CPU selects, nor on the order
@@ -343,16 +345,14 @@ def second_variation_test(
     eps = config.epsilon
     trials, mesh = config.trials, config.mesh
     base = 1.0 / (1.0 + s * s)
-    # trial t draws from its own spawned stream: mesh - 1 cuts uniform on
-    # [0, r), then mesh values of phi uniform on [-1, 1).  Row t of each
-    # array takes them as rng.random doubles, scaled in place below exactly
-    # as Generator.uniform scales them
+    # row t of the two blocks is trial t: mesh - 1 cuts uniform on [0, r),
+    # then mesh values of phi uniform on [-1, 1), drawn as rng.random
+    # doubles and scaled in place below exactly as Generator.uniform scales
+    # them
+    rng = np.random.default_rng(config.rng_seed)
     edges = np.empty((trials, mesh + 1))
-    phi = np.empty((trials, mesh))
-    for t, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(trials)):
-        rng = np.random.default_rng(seed)
-        rng.random(out=edges[t, 1:mesh])
-        rng.random(out=phi[t])
+    edges[:, 1:mesh] = rng.random((trials, mesh - 1))
+    phi = rng.random((trials, mesh))
     cuts = edges[:, 1:mesh]
     cuts *= r
     cuts.sort(axis=1)

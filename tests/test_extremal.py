@@ -29,7 +29,7 @@ from newton2d.extremal import (
     staircase_gradient_check,
     stationary_slopes,
 )
-from newton2d.functional import staircase_resistance, triangle_resistance
+from newton2d.functional import resistance_2d, staircase_resistance, triangle_resistance
 from newton2d.geometry import (
     Profile,
     ProblemSpec,
@@ -314,6 +314,18 @@ def test_check_certificate_fails_a_gap_beyond_the_doubles():
     assert report.gap == math.inf and not report.passed
 
 
+def test_an_unrestricted_pass_bounds_the_drag_by_the_monotone_bound_only():
+    # the wedge's two terms, -5e299 and 5e299, cancel: it passes with gap 0,
+    # so its drag is at most the monotone bound -h_max*W - lam*Y = 1 - 1,
+    # and no more is certified (no unrestricted minimizer exists)
+    lam, width, rise = 1.0, 1.0, 1.0
+    wedge = Profile(((0.0, 0.0), (0.5, -5e299), (width, rise)))
+    report = check_certificate(wedge, ProblemSpec(width, rise, Variant.UNRESTRICTED), lam)
+    assert (report.passed, report.gap, report.h_max) == (True, 0.0, -1.0)
+    assert report.segment_values == (1e300, -1e300)
+    assert resistance_2d(wedge) == -report.h_max * width - lam * rise + report.gap == 0.0
+
+
 def test_check_certificate_notes_unrestricted_one_sidedness():
     spec = ProblemSpec(r=1.0, H=2.0, variant=Variant.UNRESTRICTED)
     from newton2d.geometry import make_triangle
@@ -586,8 +598,11 @@ def test_certifying_a_family_bisects_once_per_multiplier():
     members = enumerate_minimizers(spec, n=4, count=100, rng_seed=11)
     profiles = [make_staircase(spec, params) for params in members]
     stationary_slopes.cache_clear()
+    extremal._max_hamiltonian.cache_clear()
     assert all(check_certificate(p, spec, lam=0.5).passed for p in profiles)
-    info = stationary_slopes.cache_info()
+    # the maximum is memoized too, so the roots are asked for once
+    assert stationary_slopes.cache_info().misses == 1
+    info = extremal._max_hamiltonian.cache_info()
     assert (info.misses, info.hits) == (1, 99)
 
 
@@ -608,6 +623,7 @@ def test_bad_multiplier_raises_on_every_call(lam):
     spec = ProblemSpec(r=1.0, H=0.4)
     profile = make_staircase(spec, io_staircase_params(spec))
     size = stationary_slopes.cache_info().currsize
+    maxima = extremal._max_hamiltonian.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             stationary_slopes(lam)
@@ -616,6 +632,7 @@ def test_bad_multiplier_raises_on_every_call(lam):
         with pytest.raises(ValueError, match="lam must be positive and finite"):
             make_certificate(lam)
     assert stationary_slopes.cache_info().currsize == size
+    assert extremal._max_hamiltonian.cache_info().currsize == maxima
 
 
 @settings(max_examples=300, derandomize=True)

@@ -423,10 +423,11 @@ def _per_sample_reference(profile: Profile, counts: np.ndarray):
     return width * float(np.mean(g)), width * float(np.std(g, ddof=1)) / math.sqrt(g.size)
 
 
-def _summation_bound(n_seg: int, n_samples: int) -> float:
-    # relative: (S + 2) eps for the count-weighted sum (its docstring), and
-    # (log2 n + 16) eps for numpy's pairwise sum of the n reference impulses
-    return (n_seg + 2 + math.log2(n_samples) + 16) * EPS
+def _summation_bound(n_samples: int) -> float:
+    # relative: 3 eps for the estimate from the correctly rounded sum of S
+    # rounded products (its docstring), and (log2 n + 16) eps for numpy's
+    # pairwise sum of the n reference impulses
+    return (3 + math.log2(n_samples) + 16) * EPS
 
 
 def _random_profile(rng, n_seg: int) -> Profile:
@@ -458,7 +459,7 @@ def test_counts_and_estimate_match_the_per_sample_reference(profile, n_samples, 
     assert counts.sum() == n_samples
     mean, std_error = _per_sample_reference(profile, counts)
     est = estimate_resistance(profile, n_samples, rng_seed)
-    bound = _summation_bound(len(profile.slopes), n_samples)
+    bound = _summation_bound(n_samples)
     assert abs(est.estimate - mean) <= bound * mean
     # the deviations g - mean inherit the mean's rounding, bound * mean
     assert est.std_error == pytest.approx(std_error, rel=bound, abs=bound * mean)
@@ -471,19 +472,32 @@ _FORTY_SEGMENTS = Profile(tuple((i / 40, 0.25 * (i % 2) + i / 80) for i in range
 @pytest.mark.parametrize(
     "profile, n_samples, rng_seed, estimate, std_error",
     [
-        (_FIVE_SEGMENTS, 5000, 43, 0.7376159805760953, 0.0042914290721848556),
-        (_FORTY_SEGMENTS, 5000, 31, 0.009985654917654296, 1.3931384136377488e-05),
-        (_FIVE_SEGMENTS, 100_000, 10, 0.742628921973292, 0.0009560241557713549),
-        (_FORTY_SEGMENTS, 100_000, 44, 0.009973046021240566, 3.115079535530808e-06),
+        (_FIVE_SEGMENTS, 5000, 43, 0.7376159805760952, 0.004291429072184856),
+        (_FORTY_SEGMENTS, 5000, 31, 0.009985654917654295, 1.3931384136377491e-05),
+        (_FIVE_SEGMENTS, 100_000, 10, 0.7426289219732921, 0.0009560241557713551),
+        (_FORTY_SEGMENTS, 100_000, 44, 0.009973046021240564, 3.1150795355308076e-06),
     ],
     ids=["five-segments", "forty-segments", "five-segments-1e5", "forty-segments-1e5"],
 )
 def test_estimate_keeps_its_bits(profile, n_samples, rng_seed, estimate, std_error):
-    # literals recorded from the estimator's np.sum of S products on numpy
-    # 2.4's multinomial stream, at seeds where a different summation
-    # (math.fsum, say) moves the last bit of both
+    # literals recorded from the estimator's math.fsum of S products on
+    # numpy 2.4's multinomial stream, at seeds where a different summation
+    # (np.sum, which the estimator used before) moves the last bit of both
     got = estimate_resistance(profile, n_samples, rng_seed)
     assert (got.estimate, got.std_error) == (estimate, std_error)
+
+
+def test_monte_carlo_reads_the_breakpoints_alone():
+    # xs and ys are cached properties: reading them would keep a second copy
+    # of the coordinates in every profile the oracle is given
+    for run in (
+        lambda p: montecarlo.segment_counts(p, 1000, 1),
+        lambda p: estimate_resistance(p, 1000, 1),
+        single_collision_check,
+    ):
+        profile = Profile(((0.0, 0.0), (0.15, 0.05), (0.4, 0.05), (0.55, 0.3), (1.0, 0.6)))
+        run(profile)
+        assert "xs" not in profile.__dict__ and "ys" not in profile.__dict__
 
 
 def test_counts_have_the_multinomial_mean():

@@ -743,6 +743,22 @@ def test_second_variation_is_seeded():
     assert a.ratios == b.ratios
 
 
+def test_second_variation_draws_from_one_generator(monkeypatch):
+    # every trial reads rows of one default_rng(rng_seed) stream, so no
+    # per-trial stream is spawned.  SeedSequence is an immutable extension
+    # type, so np.random's name for it is replaced by a subclass whose spawn
+    # raises
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError("second_variation_test spawned a stream per trial")
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    profile, spec = _triangle(0.8)
+    config = PerturbationConfig(epsilon=0.01, trials=16, rng_seed=3)
+    report = second_variation_test(profile, spec, config)
+    assert len(report.ratios) == 16 and report.min_delta > 0.0
+
+
 def test_finite_difference_gradient_on_polynomial():
     def f(v):
         return v[0] ** 2 * v[1] + 3.0 * v[1]
@@ -757,7 +773,8 @@ def test_finite_difference_gradient_on_polynomial():
 def _reference_second_variation(profile, spec, config):
     # the trial-by-trial loop second_variation_test replaced, with each sum
     # correctly rounded by math.fsum (the loop summed with np.dot, whose bits
-    # depend on the BLAS kernel)
+    # depend on the BLAS kernel); trial t reads row t of one generator's two
+    # blocks, the cuts and then phi
     r = profile.breakpoints[-1][0]
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
         r - profile.breakpoints[0][0]
@@ -766,12 +783,14 @@ def _reference_second_variation(profile, spec, config):
     base = 1.0 / (1.0 + s * s)
     deltas = np.empty(config.trials)
     ratios = np.empty(config.trials)
-    for t, seed in enumerate(np.random.SeedSequence(config.rng_seed).spawn(config.trials)):
-        rng = np.random.default_rng(seed)
-        cuts = np.sort(rng.uniform(0.0, r, config.mesh - 1))
+    rng = np.random.default_rng(config.rng_seed)
+    all_cuts = rng.uniform(0.0, r, (config.trials, config.mesh - 1))
+    all_phi = rng.uniform(-1.0, 1.0, (config.trials, config.mesh))
+    for t in range(config.trials):
+        cuts = np.sort(all_cuts[t])
         edges = np.concatenate([[0.0], cuts, [r]])
         widths = np.diff(edges)
-        phi = rng.uniform(-1.0, 1.0, config.mesh)
+        phi = all_phi[t].copy()
         phi -= math.fsum((phi * widths).tolist()) / r
         perturbed = s + eps * phi
         delta = math.fsum((widths * (1.0 / (1.0 + perturbed * perturbed) - base)).tolist())
