@@ -464,13 +464,18 @@ def enumerate_minimizers(
     solve, a body is refused, naming H/r, when a member's rise rounds to
     zero width.
 
-    numpy's Dirichlet(1, ..., 1) draws one standard exponential per weight
-    (a Gamma(1) variate is one), sums them left to right and scales each
-    by the reciprocal of the sum.  So the whole family comes from one
-    standard_exponential block of count rows, normalized with the same
-    sequential sum, and matches the per-member rng.dirichlet stream bit
-    for bit.  A family of more than MAX_FAMILY_ELEMENTS = 2^20 values,
-    count * (2n + 1), is refused before anything is drawn.
+    A Dirichlet(1, ..., 1) vector of k weights is the k gaps that k - 1
+    sorted uniforms leave between 0 and 1 (the uniform spacings).  One
+    random.Random(rng_seed) draws the whole family as one block of count
+    rows of uniforms (newton2d._sampling.uniforms), and member m reads row
+    m: n - 1 for its rises, then n for its flats (none when H = r).  The
+    uniforms are multiples of 2^-53 in [0, 1), so every gap is exact and a
+    member's gaps sum to 1 exactly; each width is its gap times the
+    budget, rounded once.  No logarithm is taken, so the digits at a given
+    seed follow CPython's MT19937 stream and IEEE arithmetic alone: not
+    the numpy release, nor the CPU's vector extensions.  A family of more
+    than MAX_FAMILY_ELEMENTS = 2^20 values, count * (2n + 1), is refused
+    before anything is drawn.
     """
     if spec.variant is not Variant.RESTRICTED:
         raise ValueError("the minimizing staircase family is a restricted-variant object")
@@ -484,26 +489,30 @@ def enumerate_minimizers(
             f"above the cap of {MAX_FAMILY_ELEMENTS}"
         )
     check_seed(rng_seed)
+    from random import Random
+
     import numpy as np
 
-    rng = np.random.default_rng(rng_seed)
+    from ._sampling import uniforms
+
     flat_budget = spec.r - spec.H
-    k_rise = n if n > 1 else 0
-    k_flat = n + 1 if flat_budget > 0.0 else 0
-    draws = rng.standard_exponential((count, k_rise + k_flat))
+    # n - 1 uniforms split H into the n rises (one rise takes all of H);
+    # n split r - H into the n + 1 flats, unless there is nothing to split
+    n_flat = n if flat_budget > 0.0 else 0
+    draws = uniforms(Random(rng_seed), (count, n - 1 + n_flat))
 
     def weights(block: np.ndarray, budget: float) -> np.ndarray:
-        # cumsum adds left to right, as dirichlet's own sum does
-        return block * (1.0 / np.cumsum(block, axis=1)[:, -1:]) * budget
+        # the gaps of the sorted row between 0 and 1, each times the budget
+        edges = np.zeros((count, block.shape[1] + 2))
+        edges[:, 1:-1] = np.sort(block, axis=1)
+        edges[:, -1] = 1.0
+        return np.diff(edges, axis=1) * budget
 
     # widths alternate flat, rise, ...; the last flat only closes the gap to r
     widths = np.zeros((count, 2 * n))
-    if k_rise:
-        widths[:, 1::2] = weights(draws[:, :k_rise], spec.H)
-    else:
-        widths[:, 1] = spec.H
-    if k_flat:
-        widths[:, 0::2] = weights(draws[:, k_rise:], flat_budget)[:, :n]
+    widths[:, 1::2] = weights(draws[:, : n - 1], spec.H)
+    if n_flat:
+        widths[:, 0::2] = weights(draws[:, n - 1 :], flat_budget)[:, :n]
     xi = np.zeros((count, 2 * n + 2))
     np.cumsum(widths, axis=1, out=xi[:, 1:-1])
     np.minimum(xi[:, -2], spec.r, out=xi[:, -2])

@@ -12,7 +12,8 @@ import bisect
 import math
 import sys
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache
+from operator import itemgetter
 
 
 class Variant(Enum):
@@ -161,8 +162,9 @@ def slope_power(s: float, k: int, use: str) -> float:
 def check_seed(rng_seed: int) -> None:
     """The seed rule of every seeded routine: the integer rule, rng_seed >= 0.
 
-    None would draw an irreproducible stream, and numpy refuses a negative
-    seed with a message that does not name it.
+    None would draw an irreproducible stream, and random.Random seeds from
+    the absolute value of an int, so a negative seed would draw the stream
+    of its positive twin.
     """
     check_int("rng_seed", rng_seed, 0)
 
@@ -178,10 +180,9 @@ class Profile(Record):
     that overflows, such as a rise of 1e10 over 1e-300: every drag, sample
     and reflection is computed from them.  slopes holds the per-segment
     slopes u_i = (y_{i+1} - y_i) / (x_{i+1} - x_i), formed in the pass that
-    converts and checks the breakpoints; xs and ys are computed once, on
-    first use.  Instances are immutable, and slopes, xs and ys live in the
-    instance dict, outside _fields, so equality, hashing and repr see the
-    breakpoints alone.
+    converts and checks the breakpoints.  Instances are immutable, and
+    slopes lives in the instance dict, outside _fields, so equality,
+    hashing and repr see the breakpoints alone.
     """
 
     def __init__(self, breakpoints: tuple[tuple[float, float], ...]) -> None:
@@ -212,20 +213,12 @@ class Profile(Record):
         ):
             _refuse_profile(self.breakpoints, self.slopes)
 
-    @cached_property
-    def xs(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.breakpoints)
-
-    @cached_property
-    def ys(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.breakpoints)
-
     def segment_index(self, x: float) -> int:
         """Index of the segment containing x (right-continuous at breakpoints)."""
-        xs = self.xs
-        check_real("x", x, xs[0], xs[-1])
-        i = bisect.bisect_right(xs, x) - 1
-        return min(i, len(xs) - 2)
+        pts = self.breakpoints
+        check_real("x", x, pts[0][0], pts[-1][0])
+        i = bisect.bisect_right(pts, x, key=itemgetter(0)) - 1
+        return min(i, len(pts) - 2)
 
     def slope_at(self, x: float) -> float:
         """Slope of the segment containing x; right-segment slope at breakpoints."""

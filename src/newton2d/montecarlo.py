@@ -10,10 +10,12 @@ an independent check of the drag integrand rather than a restatement.
 from __future__ import annotations
 
 import math
+from random import Random
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._sampling import multinomial
 from .geometry import Profile, Record, check_int, check_real, check_seed, report_type
 
 if TYPE_CHECKING:
@@ -114,20 +116,42 @@ def check_sample_count(n_samples: int) -> None:
     check_int("n_samples", n_samples, 2, MAX_SAMPLES)
 
 
+def _slope_groups(profile: Profile) -> dict[float, list[float]]:
+    # the widths of the segments of each distinct slope, slopes in order of
+    # first appearance
+    groups: dict[float, list[float]] = {}
+    pts = profile.breakpoints
+    for (x0, _), (x1, _), u in zip(pts, pts[1:], profile.slopes):
+        groups.setdefault(u, []).append(x1 - x0)
+    return groups
+
+
+def _slope_counts(groups: dict[float, list[float]], n_samples: int, rng: Random) -> list[int]:
+    # how many impacts strike each slope: the multinomial over its share of the width
+    return multinomial(rng, n_samples, [math.fsum(w) for w in groups.values()])
+
+
 def segment_counts(profile: Profile, n_samples: int, rng_seed: int) -> np.ndarray:
     """How many of estimate_resistance's n_samples impacts fall in each segment.
 
-    An int64 array of one count per segment, summing to n_samples: one
-    multinomial draw from default_rng(rng_seed), with the segments' shares
-    of the width as its probabilities; the estimate_resistance docstring
-    states why that is the law of the counts.
+    An int64 array of one count per segment, summing to n_samples, with
+    the multinomial law Mult(n, w / W) of n uniform impacts over the
+    segments' widths (estimate_resistance states why).  One
+    random.Random(rng_seed) draws first the counts per distinct slope,
+    exactly as estimate_resistance does, and then splits each slope's
+    count among its segments, in order of first appearance, by the
+    multinomial over their widths.  A multinomial split by a multinomial is
+    the multinomial over the parts, so the law is the per-segment one, and
+    at every seed the counts of a slope's segments add up to the count
+    estimate_resistance draws for that slope.
     """
     check_sample_count(n_samples)
     check_seed(rng_seed)
-    pts = profile.breakpoints
-    widths = [x1 - x0 for (x0, _), (x1, _) in zip(pts, pts[1:])]
-    total = math.fsum(widths)
-    return np.random.default_rng(rng_seed).multinomial(n_samples, [w / total for w in widths])
+    rng = Random(rng_seed)
+    groups = _slope_groups(profile)
+    counts = _slope_counts(groups, n_samples, rng)
+    parts = {u: iter(multinomial(rng, c, w)) for (u, w), c in zip(groups.items(), counts)}
+    return np.array([next(parts[u]) for u in profile.slopes], dtype=np.int64)
 
 
 def estimate_resistance(
@@ -137,46 +161,52 @@ def estimate_resistance(
 
     Under the parallel-stream hypothesis the impact abscissa is uniform on
     [x0, x1], and each particle hits once and takes the momentum of the
-    segment it strikes: half its axial impulse, g_k = (1 + v'_y) / 2 with
-    v' = reflect((0, -1), u_k) on segment k.  So (x1 - x0)/n times the sum
-    of g over n impacts is an unbiased estimator of the drag integral, and
-    it depends on the impacts only through c_k, how many strike segment k.
+    segment it strikes: half its axial impulse, g = (1 + v'_y) / 2 with
+    v' = reflect((0, -1), u) on a segment of slope u.  So (x1 - x0)/n
+    times the sum of g over n impacts is an unbiased estimator of the drag
+    integral, and it depends on the impacts only through c_u, how many
+    strike a segment of slope u, since g depends on the slope alone.
 
-    Counts (segment_counts): n independent uniform impacts strike segment
-    k with probability p_k = w_k / W, its width over W = x1 - x0, so the
-    vector c has the multinomial law Mult(n, p) exactly; a breakpoint has
-    probability zero, so which segment owns it does not matter.  So c is
-    drawn as one multinomial vector from default_rng(rng_seed), and the
-    estimator has the law of n sampled impacts in O(S) time and memory,
-    whatever n is.  The digits at a given seed follow numpy's multinomial
-    stream.
+    Counts: n independent uniform impacts strike segment k with
+    probability w_k / W, its width over W = x1 - x0, so the per-segment
+    counts have the multinomial law Mult(n, w / W) exactly (a breakpoint
+    has probability zero, so which segment owns it does not matter), and
+    the counts per distinct slope, sums of those, have the multinomial law
+    over the slopes' total widths.  So one random.Random(rng_seed) draws
+    the counts per slope by _sampling.multinomial, as conditional binomials
+    in first-appearance order: one binomial on a body of two slopes, such
+    as the paper's staircases, and no draw on one of one slope.  The
+    estimator has the law of n sampled impacts in O(S) time and memory
+    over S segments, whatever n is.  The digits at a given seed follow
+    CPython's MT19937 stream and the package's binomial sampler
+    (newton2d._sampling), not the numpy release.
 
-    Estimate and error: mean = sum_k c_k g_k / n, estimate =
+    Estimate and error: mean = sum_u c_u g_u / n, estimate =
     (x1 - x0) mean and std_error = (x1 - x0) sqrt(v / n) with
-    v = sum_k c_k (g_k - mean)^2 / (n - 1).  Both sums are math.fsum of
-    the S rounded products, a correctly rounded sum; every term is
+    v = sum_u c_u (g_u - mean)^2 / (n - 1).  Both sums are math.fsum of
+    the rounded products, a correctly rounded sum; every term is
     non-negative, so each sum is within eps of its exact value for the
     drawn counts, relative (eps = 2^-52), and the estimate, after the
     division by n, the rounded width and the product, within 3 eps; the
-    deviations g_k - mean in v carry that error of the mean, absolute.
+    deviations g_u - mean in v carry that error of the mean, absolute.
     Summing the n per-sample impulses instead gives the same values within
     that bound and its own rounding, about (log2 n + 16) eps for numpy's
-    pairwise sum.  The probabilities are rounded: the widths come from the
-    breakpoints, their total W' is math.fsum of them, within eps/2 of
-    their exact sum, and each quotient w_k / W' adds eps/2, so each p_k is
-    within eps of its exact share, relative, and the leading S - 1 shares,
-    which numpy adds with a Kahan sum, within a few eps of at most 1: far
-    inside the 1 + 1e-12 that Generator.multinomial accepts, and far below
-    any Monte Carlo resolution (a count resolves shares of 1/n, 3e-8 at
-    the cap).
+    pairwise sum.  The probabilities are rounded: each slope's total width
+    is math.fsum of its segments' widths, correctly rounded, and the
+    conditional probabilities are within a few eps of their exact values
+    per slope (_sampling.multinomial), far below any Monte Carlo
+    resolution (a count resolves shares of 1/n, 3e-8 at the cap).
 
     n_samples is checked by check_sample_count and rng_seed by check_seed
     before anything is drawn; Profile already refuses a width x1 - x0
     that overflows.
     """
-    counts = segment_counts(profile, n_samples, rng_seed).tolist()
-    # half the axial impulse of a particle reflected by each segment
-    g = ((reflect((0.0, -1.0), np.array(profile.slopes))[1] + 1.0) / 2.0).tolist()
+    check_sample_count(n_samples)
+    check_seed(rng_seed)
+    groups = _slope_groups(profile)
+    counts = _slope_counts(groups, n_samples, Random(rng_seed))
+    # half the axial impulse of a particle reflected by each slope
+    g = ((reflect((0.0, -1.0), np.array(list(groups)))[1] + 1.0) / 2.0).tolist()
     mean = math.fsum([c * gk for c, gk in zip(counts, g)]) / n_samples
     deviations = [gk - mean for gk in g]
     variance = math.fsum([c * (d * d) for c, d in zip(counts, deviations)]) / (n_samples - 1)

@@ -319,40 +319,52 @@ def second_variation_test(
     straight contour: positive for s above sqrt(3)/3 (weak local minimum),
     negative below (not a minimum).  Classification is asserted only for
     the straight contour; the weak (derivative sup-norm) neighborhood
-    notion is what is being tested.  A profile of more than one segment is
-    refused, naming its segment count, and so is a slope s above about
-    2.4e51, where (1+s^2)^3 overflows, both before anything is drawn.
+    notion is what is being tested.  Before anything is drawn, the profile
+    is refused, by name, unless it runs from (0, 0) to (spec.r, spec.H);
+    so is a profile of more than one segment, naming its segment count, and
+    a slope s above about 2.4e51, where (1+s^2)^3 overflows.
 
-    One generator, default_rng(rng_seed), draws every trial: first a
-    trials x (mesh - 1) block of cuts, then a trials x mesh block of phi,
-    and trial t reads row t of each.  The cuts fill a trials x (mesh + 1)
-    edge array; sorting, differencing and the element-wise arithmetic then
-    run once over all rows.  The digits at a given seed follow numpy's
-    stream, as Monte Carlo's do.  The three sums of
-    a trial (the recentering, dR and int phi^2) are math.fsum of the
-    element-wise products, correctly rounded, so their bits depend on IEEE
-    products alone: not on the BLAS kernel the CPU selects, nor on the order
-    of the terms.
+    One random.Random(rng_seed) draws every trial: first a trials x
+    (mesh - 1) block of cuts, then a trials x mesh block of phi, each read
+    as 53-bit doubles from rng.randbytes (newton2d._sampling.uniforms), and
+    trial t reads row t of each.  The cuts fill a trials x (mesh + 1) edge
+    array; sorting, differencing and the element-wise arithmetic then run
+    once over all rows.  The digits at a given seed follow CPython's
+    MT19937 stream, as Monte Carlo's do, not the numpy release.  The three
+    sums of a trial (the recentering, dR and int phi^2) are math.fsum of
+    the element-wise products, correctly rounded, so their bits depend on
+    IEEE products alone: not on the BLAS kernel the CPU selects, nor on the
+    order of the terms.
     """
+    start, end = profile.breakpoints[0], profile.breakpoints[-1]
+    if start != (0.0, 0.0) or end != (spec.r, spec.H):
+        raise ValueError(
+            f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), "
+            f"got {start} to {end}"
+        )
     if len(profile.slopes) != 1:
         raise ValueError(
             "the second variation perturbs a straight contour, "
             f"got a profile of {len(profile.slopes)} segments"
         )
     (s,) = profile.slopes
-    r = profile.breakpoints[-1][0]
+    r = end[0]
     expected = (6.0 * s * s - 2.0) / slope_power(s, 3, "the second variation")
     eps = config.epsilon
     trials, mesh = config.trials, config.mesh
     base = 1.0 / (1.0 + s * s)
     # row t of the two blocks is trial t: mesh - 1 cuts uniform on [0, r),
-    # then mesh values of phi uniform on [-1, 1), drawn as rng.random
-    # doubles and scaled in place below exactly as Generator.uniform scales
-    # them
-    rng = np.random.default_rng(config.rng_seed)
+    # then mesh values of phi uniform on [-1, 1), scaled in place below
+    # exactly as numpy's Generator.uniform scales its doubles
+    # imported here, so that the DP alone does not load the samplers
+    from random import Random
+
+    from ._sampling import uniforms
+
+    rng = Random(config.rng_seed)
     edges = np.empty((trials, mesh + 1))
-    edges[:, 1:mesh] = rng.random((trials, mesh - 1))
-    phi = rng.random((trials, mesh))
+    edges[:, 1:mesh] = uniforms(rng, (trials, mesh - 1))
+    phi = uniforms(rng, (trials, mesh))
     cuts = edges[:, 1:mesh]
     cuts *= r
     cuts.sort(axis=1)

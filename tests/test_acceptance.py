@@ -261,3 +261,31 @@ def test_criterion_10_cli_contract(tmp_path):
         assert len(crossover) == 1
         fields = crossover[0].split(",")
         assert fields[1] == "0.5" and fields[2] == "0.5"
+
+
+def test_criterion_11_dp_alone_finds_the_minimizers_of_claim_ii():
+    with criterion(11, "grid DP alone finds r - H/2 and a slope-{0,1} staircase"):
+        # on grids that hold slopes 0 and 1 (dh/dx = 1 or 1/2), no closed
+        # form in the loop: below H = r the DP value is the family's r - H/2
+        # and its argmin a slope-{0, 1} staircase, since 1/(1 + u^2) lies
+        # above its tangent 1 - u/2 at every slope but 0 and 1; above, the
+        # value is the straight contour's r^3/(r^2 + H^2) = 0.2 and the
+        # argmin that contour.  The value is summed along the product tree,
+        # within (N + ceil(log2 N)) eps of the grid optimum, relative
+        # (dp_min_resistance's docstring)
+        eps = np.finfo(float).eps
+        for n, m, H in [(200, 80, 0.4), (200, 160, 0.4), (400, 160, 0.4), (200, 200, 2.0)]:
+            spec = ProblemSpec(r=1.0, H=H)
+            value, profile = dp_min_resistance(spec, DpConfig(n_cells=n, n_levels=m))
+            expected = spec.r - spec.H / 2.0 if H < spec.r else 0.2
+            assert abs(value - expected) <= (n + math.ceil(math.log2(n))) * eps * expected
+            pts = profile.breakpoints
+            if H > spec.r:
+                assert pts == ((0.0, 0.0), (1.0, 2.0))
+                continue
+            assert pts[0] == (0.0, 0.0) and pts[-1] == (spec.r, spec.H)
+            # a breakpoint is a rounded multiple of r/N and of H/M, so a
+            # rise's slope is 1 within a few eps, and a flat's is exactly 0
+            assert all(u == 0.0 or abs(u - 1.0) <= 4 * eps for u in profile.slopes)
+            rises = [y1 - y0 for (_, y0), (_, y1) in zip(pts, pts[1:]) if y1 != y0]
+            assert rises and math.fsum(rises) == spec.H

@@ -732,6 +732,45 @@ print(json.dumps([codes, [m for m in %r if m in sys.modules]]))
 _RUN_COMMANDS = _RUN_COMMANDS_TEMPLATE % (_ORACLE_MODULES,)
 
 
+# every seeded routine draws from random.Random, so numpy.random, and the
+# secrets, hmac and OpenSSL modules it brings, never load
+_NUMPY_RANDOM_MODULES = ("numpy.random", "secrets", "_hashlib")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--r", "1", "--H", "0.4", "--variant", "restricted", "--samples", "1000"],
+        ["sweep", "--H-min", "0.5", "--H-max", "1.5", "--steps", "2",
+         "--cells", "8", "--levels", "8", "--out"],
+    ],
+    ids=["verify", "sweep"],
+)
+def test_oracle_commands_do_not_load_numpy_random(tmp_path, argv):
+    if argv[-1] == "--out":
+        argv = [*argv, str(tmp_path / "sweep.csv")]
+    script = _RUN_COMMANDS_TEMPLATE % (_NUMPY_RANDOM_MODULES,)
+    proc = _run_python("-c", script, json.dumps([argv]))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK], []]
+
+
+def test_seeded_routines_do_not_load_numpy_random():
+    code = f"""
+import sys
+import newton2d as nd
+
+spec = nd.ProblemSpec(1.0, 0.4)
+members = nd.enumerate_minimizers(spec, 3, 10, 1)
+nd.estimate_resistance(nd.make_staircase(spec, members[0]), 1000, 2)
+nd.second_variation_test(nd.make_triangle(spec), spec, nd.PerturbationConfig(0.01, 8, 3))
+print([m for m in {_NUMPY_RANDOM_MODULES!r} if m in sys.modules])
+"""
+    proc = _run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _solve(r, H, variant):
     return ["solve", "--r", r, "--H", H, "--variant", variant]
 

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -212,7 +213,7 @@ def _exact_excess(profile):
 
 def _gap_bound(profile):
     # check_certificate's pass bound, (S + 4) * 2^-52 * W
-    return (len(profile.slopes) + 4) * 2.0**-52 * (profile.xs[-1] - profile.xs[0])
+    return (len(profile.slopes) + 4) * 2.0**-52 * (profile.breakpoints[-1][0] - profile.breakpoints[0][0])
 
 
 def _assert_gap_is_exact(profile, report):
@@ -528,16 +529,24 @@ def test_enumerate_minimizers_rejects_bad_seeds(seed):
         enumerate_minimizers(ProblemSpec(r=1.0, H=0.4), n=2, count=1, rng_seed=seed)
 
 
+def _dirichlet(rng, k):
+    # the gaps that k - 1 sorted uniforms leave between 0 and 1, each uniform
+    # the top 53 bits of one little-endian 64-bit word of the stream
+    cuts = sorted((int.from_bytes(rng.randbytes(8), "little") >> 11) * 2.0**-53 for _ in range(k - 1))
+    return np.array([b - a for a, b in zip([0.0, *cuts], [*cuts, 1.0])])
+
+
 def _reference_minimizers(spec, n, count, rng_seed):
-    # the per-member loop enumerate_minimizers replaced: one rng.dirichlet
-    # call per budget and member, breakpoints summed one width at a time
-    rng = np.random.default_rng(rng_seed)
+    # the per-member loop enumerate_minimizers replaced: one Dirichlet draw
+    # per budget and member from one random.Random, the rises' first,
+    # breakpoints summed one width at a time
+    rng = random.Random(rng_seed)
     flat_budget = spec.r - spec.H
     members = []
     for _ in range(count):
-        rises = rng.dirichlet(np.ones(n)) * spec.H if n > 1 else np.array([spec.H])
+        rises = _dirichlet(rng, n) * spec.H
         if flat_budget > 0.0:
-            flats = rng.dirichlet(np.ones(n + 1)) * flat_budget
+            flats = _dirichlet(rng, n + 1) * flat_budget
         else:
             flats = np.zeros(n + 1)
         xi = [0.0]
@@ -583,7 +592,7 @@ def test_enumerate_minimizers_refuses_a_family_above_the_cap_before_drawing(monk
     def no_draws(*args, **kwargs):
         raise AssertionError("a refused family must not open a stream")
 
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(random, "Random", no_draws)
     spec = ProblemSpec(r=1.0, H=0.4)
     n = 7
     count = MAX_FAMILY_ELEMENTS // (2 * n + 1) + 1
@@ -674,7 +683,7 @@ def test_enumerate_refuses_a_family_whose_rises_round_to_zero_width():
 
 
 # the largest exact excess drag of the 50 members of each thin family
-_THIN_FAMILY_EXCESS = {1e-13: 7.445026029370274e-19, 1e-11: 2.6915289794992978e-20, 1e-10: 1.5464072590075722e-21}
+_THIN_FAMILY_EXCESS = {1e-13: 3.0644847904200307e-19, 1e-11: 2.1388180124795297e-21, 1e-10: 1.2744936537147924e-22}
 
 
 @pytest.mark.parametrize("H", list(_THIN_FAMILY_EXCESS))

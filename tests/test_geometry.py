@@ -227,10 +227,10 @@ def test_slope_at_is_right_continuous():
 def test_profile_derived_tuples_are_cached_per_instance():
     points = ((0.0, 0.0), (0.25, 0.0), (0.5, 0.5), (1.0, 0.75))
     profile = Profile(points)
-    assert profile.xs is profile.xs
-    assert profile.ys is profile.ys
     assert profile.slopes is profile.slopes
     assert profile.slopes == (0.0, 2.0, 0.5)
+    assert [profile.segment_index(x) for x in (0.0, 0.25, 0.7, 1.0)] == [0, 1, 2, 2]
+    assert set(vars(profile)) == {"breakpoints", "slopes"}
     fresh = Profile(points)
     assert profile == fresh and hash(profile) == hash(fresh)
     assert repr(profile) == repr(fresh)

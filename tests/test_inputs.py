@@ -60,6 +60,7 @@ from newton2d.oracle import (
     PerturbationConfig,
     dp_min_resistance,
     finite_difference_gradient,
+    second_variation_test,
 )
 
 SPEC = ProblemSpec(1.0, 0.4)
@@ -163,6 +164,16 @@ def _stationary(v):
 
 def _classification(v):
     return ExtremalCertificate(0.5, (0.3,), v)
+
+
+def _other_body(spec, points):
+    # a straight or bent contour that does not run from (0, 0) to (r, H):
+    # second_variation_test refuses it by name, before drawing
+    def call(profile):
+        return second_variation_test(profile, spec, _perturb())
+    start, end = points[0], points[-1]
+    message = re.escape(f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), got {start} to {end}")
+    return pytest.param(call, Profile(points), message, False, id=f"profile-{start}-{end}")
 
 
 _DP_CAP = "use a smaller n_cells or n_levels"
@@ -278,6 +289,15 @@ _REFUSALS = {
     "single_collision_check(ray_tol)": [
         *_real_cases("ray_tol", _collision, (-1e-9,), _rule("ray_tol", _collision, 1.5)),
         _cap("ray_tol", _collision, 1.0, "ray_tol must lie in [0, 1), got 1.0"),
+    ],
+    # the perturbed profile must be the spec's own body: a longer one, one
+    # of another height, or one starting elsewhere was once tested at its
+    # own slope under the spec's name
+    "second_variation_test(profile)": [
+        _other_body(SPEC, ((0.0, 0.0), (3.0, 0.75))),
+        _other_body(ProblemSpec(1.0, 0.1, "unrestricted"), ((0.0, 0.0), (1.0, 0.75))),
+        _other_body(SPEC, ((0.5, 0.0), (1.0, 0.4))),
+        _other_body(SPEC, ((0.0, 0.0), (0.6, 0.0), (1.0, 0.5))),
     ],
     # a float slope by the real-number rule; an array by finiteness alone
     "reflect(slope)": [

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -709,6 +710,19 @@ def test_second_variation_refuses_a_profile_of_more_than_one_segment():
     assert counts == [2, 2, 5]
 
 
+def test_second_variation_refuses_another_body_before_drawing(monkeypatch):
+    # the straight contour of (1, 0.75) under the spec (1, 0.1) was once
+    # tested at slope 0.75 and reported as the spec's answer
+    def no_stream(*args):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(random, "Random", no_stream)
+    spec = ProblemSpec(r=1.0, H=0.1, variant=Variant.UNRESTRICTED)
+    config = PerturbationConfig(epsilon=0.01, trials=4, rng_seed=0)
+    with pytest.raises(ValueError, match=re.escape("profile must run from (0, 0) to (r, H) = (1.0, 0.1)")):
+        second_variation_test(make_triangle(ProblemSpec(r=1.0, H=0.75)), spec, config)
+
+
 def test_second_variation_sign_classifies_the_straight_contour():
     config = PerturbationConfig(epsilon=0.005, trials=64, rng_seed=42)
     below = second_variation_test(*_triangle(0.3), config)
@@ -744,19 +758,21 @@ def test_second_variation_is_seeded():
 
 
 def test_second_variation_draws_from_one_generator(monkeypatch):
-    # every trial reads rows of one default_rng(rng_seed) stream, so no
-    # per-trial stream is spawned.  SeedSequence is an immutable extension
-    # type, so np.random's name for it is replaced by a subclass whose spawn
-    # raises
-    class NoSpawn(np.random.SeedSequence):
-        def spawn(self, n_children):
-            raise AssertionError("second_variation_test spawned a stream per trial")
+    # every trial reads rows of one random.Random(rng_seed) stream, so no
+    # per-trial stream is made
+    made = []
 
-    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    class Counted(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(random, "Random", Counted)
     profile, spec = _triangle(0.8)
     config = PerturbationConfig(epsilon=0.01, trials=16, rng_seed=3)
     report = second_variation_test(profile, spec, config)
     assert len(report.ratios) == 16 and report.min_delta > 0.0
+    assert made == [3]
 
 
 def test_finite_difference_gradient_on_polynomial():
@@ -774,7 +790,9 @@ def _reference_second_variation(profile, spec, config):
     # the trial-by-trial loop second_variation_test replaced, with each sum
     # correctly rounded by math.fsum (the loop summed with np.dot, whose bits
     # depend on the BLAS kernel); trial t reads row t of one generator's two
-    # blocks, the cuts and then phi
+    # blocks, the cuts and then phi, each value the top 53 bits of one
+    # little-endian 64-bit word of the stream, scaled as numpy's uniform
+    # scales a double
     r = profile.breakpoints[-1][0]
     s = (profile.breakpoints[-1][1] - profile.breakpoints[0][1]) / (
         r - profile.breakpoints[0][0]
@@ -783,9 +801,14 @@ def _reference_second_variation(profile, spec, config):
     base = 1.0 / (1.0 + s * s)
     deltas = np.empty(config.trials)
     ratios = np.empty(config.trials)
-    rng = np.random.default_rng(config.rng_seed)
-    all_cuts = rng.uniform(0.0, r, (config.trials, config.mesh - 1))
-    all_phi = rng.uniform(-1.0, 1.0, (config.trials, config.mesh))
+    rng = random.Random(config.rng_seed)
+
+    def block(rows, cols, low, high):
+        words = [int.from_bytes(rng.randbytes(8), "little") for _ in range(rows * cols)]
+        return np.array([low + (high - low) * ((w >> 11) * 2.0**-53) for w in words]).reshape(rows, cols)
+
+    all_cuts = block(config.trials, config.mesh - 1, 0.0, r)
+    all_phi = block(config.trials, config.mesh, -1.0, 1.0)
     for t in range(config.trials):
         cuts = np.sort(all_cuts[t])
         edges = np.concatenate([[0.0], cuts, [r]])
