@@ -22,11 +22,13 @@ from .geometry import (
     StaircaseParams,
     Variant,
     aspect_ratio,
+    check_endpoints,
     check_int,
     check_real,
     check_seed,
     make_staircase,
     make_triangle,
+    negative_slopes,
     profile_to_dict,
     report_type,
     slope_power,
@@ -287,9 +289,17 @@ def check_certificate(profile: Profile, spec: ProblemSpec, lam: float) -> Certif
     its drag 0.0 equals that bound, though no unrestricted minimizer
     exists.  A passing
     report for a restricted-variant profile certifies a Pontryagin
-    extremal, hence a global minimizer within the admissible class.  A lam
-    that is not positive and finite raises ValueError.
+    extremal, hence a global minimizer within the admissible class.
+
+    The profile must be a body of spec: ValueError names a profile that
+    does not run from (0, 0) to (spec.r, spec.H), and, in the restricted
+    variant, its first slope below -1e-12 (validate's rule), whose negative
+    term would offset another segment's excess.  A lam that is not
+    positive and finite raises ValueError.
     """
+    check_endpoints(profile, spec)
+    if spec.variant is Variant.RESTRICTED and (issues := negative_slopes(profile)):
+        raise ValueError(issues[0])
     h_max = _max_hamiltonian(lam)
     values = [_hamiltonian(u, lam) for u in profile.slopes]
     pts = profile.breakpoints

@@ -84,12 +84,13 @@ class ProblemSpec(Record):
     def __init__(
         self, r: float, H: float, variant: Variant = Variant.RESTRICTED, dimension: int = 2
     ) -> None:
-        try:
-            variant = Variant(variant)
-        except ValueError:
-            raise ValueError(
-                f"variant must be 'restricted' or 'unrestricted', got {variant!r}"
-            ) from None
+        if variant.__class__ is not Variant:
+            try:
+                variant = Variant(variant)
+            except ValueError:
+                raise ValueError(
+                    f"variant must be 'restricted' or 'unrestricted', got {variant!r}"
+                ) from None
         check_real("r", r, positive=True)
         check_real("H", H, positive=True)
         check_int("dimension", dimension, 2, 3)
@@ -103,12 +104,19 @@ def check_int(name: str, value: int, lo: int, hi: float = math.inf) -> None:
     float and numpy integers included.  The ValueError names the argument
     and the refused value.
     """
-    if isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi:
+    if not (
+        (type(value) is int or isinstance(value, int) and not isinstance(value, bool))
+        and lo <= value <= hi
+    ):
         if hi < math.inf:
             bounds = f"an int in [{lo}, {hi}]"
         else:
             bounds = "a non-negative int" if lo == 0 else f"an int >= {lo}"
         raise ValueError(f"{name} must be {bounds}, got {value!r}")
+
+
+# the largest double; the real-number rule refuses any value beyond it
+_FLOAT_MAX = sys.float_info.max
 
 
 def check_real(name: str, value: float, lo=-math.inf, hi=math.inf, *, positive=False) -> None:
@@ -118,9 +126,17 @@ def check_real(name: str, value: float, lo=-math.inf, hi=math.inf, *, positive=F
     +-inf are refused whatever the bounds, and so is an int beyond the
     largest double; bool, str and every other type are refused too.  The
     ValueError names the argument and the refused value.
+
+    The rule is one test: the type (an exact float first, so the common
+    case skips the bool and isinstance checks), then lo <= value <= hi,
+    the range of the doubles and the sign, each a comparison NaN fails.
+    Python compares an int with a float exactly, so a huge int is refused
+    by the range of the doubles, with no OverflowError.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-        max(lo, -sys.float_info.max) <= value <= min(hi, sys.float_info.max)
+    if not (
+        (type(value) is float or isinstance(value, (int, float)) and not isinstance(value, bool))
+        and lo <= value <= hi
+        and -_FLOAT_MAX <= value <= _FLOAT_MAX
         and (value > 0 or not positive)
     ):
         if positive:
@@ -258,8 +274,12 @@ class StaircaseParams(Record):
     """
 
     def __init__(self, n: int, xi: tuple[float, ...], mu: tuple[float, ...]) -> None:
-        xi = tuple([v if type(v) is float else _number(f"xi[{i}]", v) for i, v in enumerate(xi)])
-        mu = tuple([v if type(v) is float else _number(f"mu[{i}]", v) for i, v in enumerate(mu)])
+        xi, mu = tuple(xi), tuple(mu)
+        # one pass over the entries' types; only a set other than {float}
+        # takes the per-entry pass, which names the first bad entry
+        if set(map(type, xi + mu)) != {float}:
+            xi = tuple([v if type(v) is float else _number(f"xi[{i}]", v) for i, v in enumerate(xi)])
+            mu = tuple([v if type(v) is float else _number(f"mu[{i}]", v) for i, v in enumerate(mu)])
         self._init(n, xi, mu)
         check_int("n", n, 1)
         # one pass over flat i, rise i and the heights around it; NaN fails
@@ -335,6 +355,11 @@ class ValidationResult(Record):
         self._init(ok, issues)
 
 
+# validate's answer for every admissible profile: records are immutable, so
+# one instance serves them all
+_ADMISSIBLE = ValidationResult(True)
+
+
 def make_triangle(spec: ProblemSpec) -> Profile:
     """Single-segment contour (0,0) -> (r,H); slope H/r everywhere.
 
@@ -396,10 +421,37 @@ def make_counterexample(
 _SLOPE_TOL = 1e-12
 
 
+def check_endpoints(profile: Profile, spec: ProblemSpec) -> None:
+    """Refuse, by name, a profile that does not run from (0, 0) to (spec.r, spec.H).
+
+    The rule of the routines that test a profile as the body of spec, such
+    as check_certificate and second_variation_test: a contour of another
+    width or height is another problem.
+    """
+    start, end = profile.breakpoints[0], profile.breakpoints[-1]
+    if start != (0.0, 0.0) or end != (spec.r, spec.H):
+        raise ValueError(
+            f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), "
+            f"got {start} to {end}"
+        )
+
+
+def negative_slopes(profile: Profile) -> list[str]:
+    """The restricted variant's slope rule: one issue per slope below -1e-12."""
+    if min(profile.slopes) >= -_SLOPE_TOL:
+        return []
+    return [
+        f"segment {i} has negative slope {u} (restricted variant requires u >= 0)"
+        for i, u in enumerate(profile.slopes)
+        if u < -_SLOPE_TOL
+    ]
+
+
 def validate(profile: Profile, spec: ProblemSpec) -> ValidationResult:
     """Diagnose admissibility of a profile against a problem spec.
 
-    Reports every violated invariant instead of aborting on the first.
+    Reports every violated invariant instead of aborting on the first.  An
+    admissible profile gets one shared ValidationResult(True).
     """
     issues: list[str] = []
     x0, y0 = profile.breakpoints[0]
@@ -411,13 +463,10 @@ def validate(profile: Profile, spec: ProblemSpec) -> ValidationResult:
     if yn != spec.H:
         issues.append(f"endpoint mismatch: y(r) = {yn}, expected H = {spec.H}")
     if spec.variant is Variant.RESTRICTED:
-        for i, u in enumerate(profile.slopes):
-            if u < -_SLOPE_TOL:
-                issues.append(
-                    f"segment {i} has negative slope {u} "
-                    "(restricted variant requires u >= 0)"
-                )
-    return ValidationResult(ok=not issues, issues=tuple(issues))
+        issues += negative_slopes(profile)
+    if not issues:
+        return _ADMISSIBLE
+    return ValidationResult(ok=False, issues=tuple(issues))
 
 
 def profile_to_dict(profile: Profile, spec: ProblemSpec) -> dict:
@@ -442,8 +491,18 @@ def profile_from_dict(data: dict) -> tuple[Profile, ProblemSpec]:
         for i, point in enumerate(points):
             if not isinstance(point, (list, tuple)) or len(point) != 2:
                 raise ValueError(f"breakpoint {i} must be an [x, y] pair, got {point!r}")
-            check_real(f"breakpoint {i} x", point[0])
-            check_real(f"breakpoint {i} y", point[1])
+            x, y = point
+            # an exact float or int within the doubles passes the rule (a
+            # JSON reader gives the int 0 for "0"); only another coordinate
+            # builds the names the rule's message needs
+            if not (
+                type(x) in (float, int)
+                and type(y) in (float, int)
+                and -_FLOAT_MAX <= x <= _FLOAT_MAX
+                and -_FLOAT_MAX <= y <= _FLOAT_MAX
+            ):
+                check_real(f"breakpoint {i} x", x)
+                check_real(f"breakpoint {i} y", y)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed profile data: {exc}") from exc
     return Profile(tuple(map(tuple, points))), spec

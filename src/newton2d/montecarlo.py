@@ -63,47 +63,65 @@ class McEstimate(Record):
 def reflect(velocity, slope: float | np.ndarray) -> np.ndarray:
     """Specular reflection of a unit velocity off a surface of given slope.
 
-    v' = v - 2 (v . n) n with unit normal n = (-u, 1)/sqrt(1+u^2).  slope
-    may be a float or an array; the result has shape (2,) + shape(slope),
-    row 0 holding the x components and row 1 the y components.  Where
-    1 + u^2 overflows (|u| above about 1.34e154) the normal is its limit
-    (-sign u, 1/|u|), within 1/(2 u^2) relative of the exact one, below
-    rounding.  Each velocity component and a float slope pass the real-number
-    rule; ValueError names an array slope's first non-finite entry (flat index).
+    v' = v - 2 (v . n) n with unit normal n = (-u, 1)/d, d = sqrt(1+u^2).
+    slope may be a float or an array; the result has shape (2,) +
+    shape(slope), row 0 holding the x components and row 1 the y
+    components.  Where 1 + u^2 overflows (|u| above about 1.34e154) d is
+    |u|, so the normal is its limit (-sign u, 1/|u|), within 1/(2 u^2)
+    relative of the exact one, below rounding.  The arithmetic over d is
+    written once, in _reflected; a float slope (an int is read as the
+    nearest double) gets d from math.sqrt, an array from numpy, and since
+    IEEE-754 rounds each square root, product and quotient correctly, the
+    two give the same bits for the same slope.  Each velocity component
+    and a float slope pass the real-number rule; ValueError names an array
+    slope's first non-finite entry (flat index).
     """
     vx, vy = velocity
     check_real("velocity x", vx)
     check_real("velocity y", vy)
-    if not isinstance(slope, np.ndarray):
+    if isinstance(slope, np.ndarray):
+        if not (finite := np.isfinite(slope)).all():
+            i = int(finite.argmin())
+            raise ValueError(f"slope[{i}] must be a finite number, got {float(slope.flat[i])!r}")
+        with np.errstate(over="ignore"):
+            den = np.sqrt(1.0 + slope * slope)
+        den = np.where(np.isinf(den), np.abs(slope), den)
+    else:
         check_real("slope", slope)
-    elif not (finite := np.isfinite(slope)).all():
-        i = int(finite.argmin())
-        raise ValueError(f"slope[{i}] must be a finite number, got {float(slope.flat[i])!r}")
+        slope = float(slope)
+        den = _normal_denominator(slope)
     vx, vy = float(vx), float(vy)
     norm = math.hypot(vx, vy)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"velocity must be a unit vector, |v| = {norm}")
-    with np.errstate(over="ignore"):
-        den = np.sqrt(1.0 + slope * slope)
-    # where 1 + u^2 overflows, sqrt(1 + u^2) is |u| far below rounding, and
-    # -u/|u| is -sign u exactly
-    den = np.where(np.isinf(den), np.abs(slope), den)
-    nx = -slope / den
+    return np.array(_reflected(vx, vy, slope, den))
+
+
+def _normal_denominator(u: float) -> float:
+    # sqrt(1 + u^2); where 1 + u^2 overflows, it is |u| far below rounding,
+    # and -u/|u| is -sign u exactly
+    square = 1.0 + u * u
+    return math.sqrt(square) if square < math.inf else abs(u)
+
+
+def _reflected(vx: float, vy: float, u, den):
+    # v - 2 (v . n) n with n = (-u, 1)/den, for a float u or an array alike
+    nx = -u / den
     ny = 1.0 / den
     twice_vdotn = 2.0 * (vx * nx + vy * ny)
-    return np.array([vx - twice_vdotn * nx, vy - twice_vdotn * ny])
+    return vx - twice_vdotn * nx, vy - twice_vdotn * ny
 
 
 def impact_at(profile: Profile, x: float) -> ImpactRecord:
     """Impact of one downward particle at abscissa x."""
     u = profile.slope_at(x)
-    reflected = reflect((0.0, -1.0), u)
+    rx, ry = _reflected(0.0, -1.0, u, _normal_denominator(u))
     return ImpactRecord(
         x=x,
         slope=u,
         incoming=(0.0, -1.0),
-        reflected=(float(reflected[0]), float(reflected[1])),
-        axial_impulse=float(reflected[1]) + 1.0,
+        reflected=(rx, ry),
+        axial_impulse=ry + 1.0,
     )
 
 
@@ -205,8 +223,9 @@ def estimate_resistance(
     check_seed(rng_seed)
     groups = _slope_groups(profile)
     counts = _slope_counts(groups, n_samples, Random(rng_seed))
-    # half the axial impulse of a particle reflected by each slope
-    g = ((reflect((0.0, -1.0), np.array(list(groups)))[1] + 1.0) / 2.0).tolist()
+    # half the axial impulse of a particle reflected by each slope, by the
+    # float path of reflect
+    g = [(_reflected(0.0, -1.0, u, _normal_denominator(u))[1] + 1.0) / 2.0 for u in groups]
     mean = math.fsum([c * gk for c, gk in zip(counts, g)]) / n_samples
     deviations = [gk - mean for gk in g]
     variance = math.fsum([c * (d * d) for c, d in zip(counts, deviations)]) / (n_samples - 1)

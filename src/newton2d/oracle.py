@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
-    Profile, ProblemSpec, Record, Variant, check_int, check_real, check_seed, slope_power
+    Profile, ProblemSpec, Record, Variant, check_endpoints, check_int, check_real, check_seed, slope_power
 )
 
 #: Most sums dp_min_resistance lets one (min,+) product hold, counted as
@@ -336,19 +336,14 @@ def second_variation_test(
     IEEE products alone: not on the BLAS kernel the CPU selects, nor on the
     order of the terms.
     """
-    start, end = profile.breakpoints[0], profile.breakpoints[-1]
-    if start != (0.0, 0.0) or end != (spec.r, spec.H):
-        raise ValueError(
-            f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), "
-            f"got {start} to {end}"
-        )
+    check_endpoints(profile, spec)
     if len(profile.slopes) != 1:
         raise ValueError(
             "the second variation perturbs a straight contour, "
             f"got a profile of {len(profile.slopes)} segments"
         )
     (s,) = profile.slopes
-    r = end[0]
+    r = profile.breakpoints[-1][0]
     expected = (6.0 * s * s - 2.0) / slope_power(s, 3, "the second variation")
     eps = config.epsilon
     trials, mesh = config.trials, config.mesh

@@ -336,6 +336,19 @@ def test_check_certificate_notes_unrestricted_one_sidedness():
     assert any("one-sided" in note for note in report.notes)
 
 
+def test_check_certificate_takes_the_bodies_validate_admits():
+    # a restricted slope within validate's tolerance is admitted, and an
+    # unrestricted profile may fall; both run from (0, 0) to (r, H)
+    spec = ProblemSpec(r=1.0, H=0.5)
+    dip = Profile(((0.0, 0.0), (0.25, 0.0), (0.5, -(2.0**-44)), (1.0, 0.5)))
+    assert validate(dip, spec).ok
+    assert check_certificate(dip, spec, lam=0.5).passed
+    unrestricted = ProblemSpec(r=1.0, H=0.5, variant=Variant.UNRESTRICTED)
+    wedge = Profile(((0.0, 0.0), (0.5, -0.1), (1.0, 0.5)))
+    assert validate(wedge, unrestricted).ok and not validate(wedge, spec).ok
+    assert check_certificate(wedge, unrestricted, lam=0.5).gap < 0.0
+
+
 def test_solve_restricted_tall_unique_triangle():
     report = solve(ProblemSpec(r=1.0, H=2.0))
     assert report.status is SolutionStatus.UNIQUE_MINIMIZER

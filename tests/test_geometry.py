@@ -434,6 +434,37 @@ def _reference_write(obj, out, level):
         raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
 
 
+# The recursive writer that the one-pass dumps replaced, kept as it was, as a
+# second reference for the types dumps now dispatches on by exact type.
+def _recursive_dumps(obj):
+    return _recursive_encode(obj, "\n") + "\n"
+
+
+def _recursive_encode(obj, newline):
+    if isinstance(obj, float):
+        return _reference_format_float(obj)
+    if obj is None or isinstance(obj, (int, str)):
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(str(key))}: {_recursive_encode(value, inner)}" for key, value in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_recursive_encode(value, inner) for value in obj]
+        brackets = "[]"
+    else:
+        raise TypeError(f"unsupported type for JSON output: {type(obj)!r}")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
+class _Text(str):
+    # a str subclass whose str() differs from its value
+    def __str__(self):
+        return "text"
+
+
 def _json_outcome(dumps, obj):
     try:
         return dumps(obj)
@@ -447,17 +478,19 @@ _JSON_FLOATS = st.one_of(
 )
 _JSON_SCALARS = st.one_of(
     _JSON_FLOATS,
+    _JSON_FLOATS.map(np.float64),
     st.integers(-(2**80), 2**80),
     st.booleans(),
     st.none(),
     st.text(),
     st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001d11e'),
+    st.text(max_size=4).map(_Text),
 )
 # a NaN, an infinity or an unsupported value somewhere in the tree
 _JSON_REFUSED = st.sampled_from(
     [math.nan, math.inf, -math.inf, {1, 2}, frozenset(), b"x", object(), np.float32(1), np.int64(1)]
 )
-_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none())
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.booleans(), st.none(), st.text(max_size=4).map(_Text))
 
 
 def _json_trees(leaves):
@@ -475,8 +508,11 @@ def _json_trees(leaves):
 @settings(max_examples=200, deadline=None)
 @given(_json_trees(_JSON_SCALARS))
 @example({"q\"\\\n\u00e9\U0001d11e": [[], {}, (), -0.0, 5e-324, 2**53 + 1, True, None]})
+@example({1: np.float64(-0.0), True: [np.float64(0.1), True, 1], "\u00e9\U0001d11e": _Text("a\u2028"), _Text("k"): ()})
+@example(((((), (-0.0,)), [{}]), {"": ((1.5, -0.0),)}))
+@example([{}, [], (), np.float64(5e-324), _Text(""), False, 0])
 def test_json_writes_the_bytes_of_the_reference_writer(obj):
-    assert jsonio.dumps(obj) == _reference_dumps(obj)
+    assert jsonio.dumps(obj) == _reference_dumps(obj) == _recursive_dumps(obj)
 
 
 @settings(max_examples=100, deadline=None)

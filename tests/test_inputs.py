@@ -14,11 +14,12 @@ import enum
 import inspect
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import newton2d
@@ -47,6 +48,7 @@ from newton2d.geometry import (
     Profile,
     ProblemSpec,
     StaircaseParams,
+    Variant,
     check_int,
     check_real,
     make_staircase,
@@ -166,14 +168,25 @@ def _classification(v):
     return ExtremalCertificate(0.5, (0.3,), v)
 
 
+def _endpoints_message(spec, points):
+    # check_endpoints' refusal of a contour that does not run from (0, 0) to (r, H)
+    return f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), got {points[0]} to {points[-1]}"
+
+
 def _other_body(spec, points):
     # a straight or bent contour that does not run from (0, 0) to (r, H):
     # second_variation_test refuses it by name, before drawing
     def call(profile):
         return second_variation_test(profile, spec, _perturb())
-    start, end = points[0], points[-1]
-    message = re.escape(f"profile must run from (0, 0) to (r, H) = ({spec.r!r}, {spec.H!r}), got {start} to {end}")
-    return pytest.param(call, Profile(points), message, False, id=f"profile-{start}-{end}")
+    message = re.escape(_endpoints_message(spec, points))
+    return pytest.param(call, Profile(points), message, False, id=f"profile-{points[0]}-{points[-1]}")
+
+
+def _uncertified(spec, points, message):
+    # a profile check_certificate refuses, by name, as no body of spec
+    def call(profile):
+        return check_certificate(profile, spec, 0.5)
+    return pytest.param(call, Profile(points), re.escape(message), False, id=f"certificate-{points[1:]}")
 
 
 _DP_CAP = "use a smaller n_cells or n_levels"
@@ -299,6 +312,28 @@ _REFUSALS = {
         _other_body(SPEC, ((0.5, 0.0), (1.0, 0.4))),
         _other_body(SPEC, ((0.0, 0.0), (0.6, 0.0), (1.0, 0.5))),
     ],
+    # the certified profile must be a body of spec: one of another width,
+    # height or start once passed under the spec's name, and a restricted
+    # one with a negative slope passed with a negative gap
+    "check_certificate(profile)": [
+        *(
+            _uncertified(spec, points, _endpoints_message(spec, points))
+            for spec, points in (
+                (ProblemSpec(1, 0.4), ((0.0, 0.0), (1.0, 0.0), (3.0, 2.0))),
+                (SPEC, ((0.0, 0.0), (0.6, 0.0), (1.0, 0.5))),
+                (SPEC, ((0.5, 0.0), (1.0, 0.4))),
+                (ProblemSpec(1.0, 0.4, "unrestricted"), ((0.0, 0.0), (0.5, -0.1), (1.0, 0.5))),
+            )
+        ),
+        _uncertified(
+            SPEC, ((0.0, 0.0), (0.5, -0.1), (1.0, 0.4)),
+            "segment 0 has negative slope -0.2 (restricted variant requires u >= 0)",
+        ),
+        _uncertified(
+            SPEC, ((0.0, 0.0), (0.25, 0.25), (0.5, 0.25 - 2.0**-38), (1.0, 0.4)),
+            f"segment 1 has negative slope {-(2.0**-36)} (restricted variant requires u >= 0)",
+        ),
+    ],
     # a float slope by the real-number rule; an array by finiteness alone
     "reflect(slope)": [
         *(
@@ -393,6 +428,65 @@ def test_ints_within_the_doubles_pass_the_real_number_rule(value):
     check_real("v", value)
     if value > 0:
         check_real("v", value, positive=True)
+
+
+def _refused_by_the_old_rule(value, lo, hi, positive):
+    # check_real's test before it was one expression, kept as the reference
+    return isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+        max(lo, -sys.float_info.max) <= value <= min(hi, sys.float_info.max)
+        and (value > 0 or not positive)
+    )
+
+
+_MAX = sys.float_info.max
+_RULE_EDGES = [0, 0.0, -0.0, 1, -1, _MAX, -_MAX, 2**1024, -(2**1024), HUGE, math.inf, -math.inf, math.nan]
+_RULE_VALUES = st.one_of(
+    st.floats(),
+    st.integers(),
+    st.sampled_from([*_RULE_EDGES, True, False, "1", "", None, b"1", np.float64(0.5), np.float64(-_MAX), np.int64(1)]),
+)
+# bounds as the package passes them: floats, +-inf, NaN and ints within the doubles
+_RULE_BOUNDS = st.one_of(
+    st.floats(), st.integers(-(2**1023), 2**1023), st.sampled_from([0, 0.0, -0.0, _MAX, -_MAX, math.inf, -math.inf])
+)
+
+
+@settings(max_examples=1000)
+@given(_RULE_VALUES, _RULE_BOUNDS, _RULE_BOUNDS, st.booleans())
+@example(True, -math.inf, math.inf, False)
+@example(HUGE, -math.inf, math.inf, False)
+@example(2**1024 - 2**970, -math.inf, math.inf, False)
+@example(-_MAX, -math.inf, math.inf, True)
+@example(math.nan, math.nan, math.nan, False)
+@example(0.5, math.nan, 1.0, False)
+def test_the_real_number_rule_refuses_what_the_old_rule_refused(value, lo, hi, positive):
+    try:
+        check_real("v", value, lo, hi, positive=positive)
+        refused = False
+    except ValueError:
+        refused = True
+    assert refused == _refused_by_the_old_rule(value, lo, hi, positive)
+
+
+@given(_RULE_VALUES, st.integers(-(2**70), 2**70), st.one_of(st.integers(-(2**70), 2**70), st.just(math.inf)))
+@example(True, 0, 1)
+@example(False, 0, math.inf)
+@example(np.int64(1), 0, 1)
+@example(1.0, 0, 1)
+def test_the_integer_rule_refuses_what_the_old_rule_refused(value, lo, hi):
+    try:
+        check_int("v", value, lo, hi)
+        refused = False
+    except ValueError:
+        refused = True
+    assert refused == (isinstance(value, bool) or not isinstance(value, int) or not lo <= value <= hi)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_a_variant_member_and_its_value_make_the_same_spec(variant):
+    spec = ProblemSpec(1.0, 0.4, variant=variant)
+    assert spec == ProblemSpec(1.0, 0.4, variant=variant.value)
+    assert spec.variant is variant
 
 
 # the functions allowed to test isinstance(..., bool): the two rules alone,

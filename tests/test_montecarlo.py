@@ -675,3 +675,42 @@ def test_reflect_past_the_overflow_of_one_plus_u_squared():
     assert np.array_equal(
         reflect((h, -h), slopes), np.stack([reflect((h, -h), u) for u in slopes], axis=1)
     )
+
+
+# slopes where the float and array paths could part: signed zeros,
+# subnormals, the edge of 1 + u^2's overflow near 1.34e154 and beyond it
+_EDGE_SLOPES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1.3e154, 1.4e154).flatmap(lambda u: st.sampled_from([u, -u])),
+    st.floats(-1e-307, 1e-307),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.3407807929942596e154, 1.3407807929942597e154, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 2.0 * math.pi), _EDGE_SLOPES)
+def test_reflect_float_and_array_paths_agree_bit_for_bit(theta, slope):
+    # a float slope takes its denominator from math.sqrt, an array from
+    # numpy; both are correctly rounded, so the reflections are the same bits
+    v = (math.cos(theta), math.sin(theta))
+    assert reflect(v, slope).tobytes() == reflect(v, np.array([slope]))[:, 0].tobytes()
+
+
+class _NoNumpy:
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} was used")
+
+
+def test_estimate_resistance_uses_no_numpy(monkeypatch):
+    # each distinct slope's impulse comes from reflect's float path, so the
+    # estimate builds no array, and its bits do not change without numpy
+    spec = ProblemSpec(r=1.0, H=0.4)
+    profiles = [
+        make_staircase(spec, io_staircase_params(spec)),
+        make_triangle(spec),
+        Profile(((0.0, 0.0), (0.3, -2.0), (0.5, 1e155), (1.0, 0.4))),
+    ]
+    runs = [(p, n, seed) for p in profiles for n in (2, 1000, 10**6) for seed in (0, 7)]
+    expected = [estimate_resistance(*run) for run in runs]
+    monkeypatch.setattr(montecarlo, "np", _NoNumpy())
+    assert [estimate_resistance(*run) for run in runs] == expected
